@@ -23,7 +23,7 @@
 
 #include "cluster/cluster_executor.hpp"
 #include "common/thread_pool.hpp"
-#include "fleet/fleet_loop.hpp"
+#include "serving/event_loop.hpp"
 
 int main(int argc, char** argv) {
   using namespace bfpsim;

@@ -5,22 +5,24 @@
 
 namespace bfpsim {
 
-ClusterServeResult serve_cluster(const ClusterExecutor& exec, int replicas,
+void ClusterForwards::add_counters(Counters& counters) const {
+  for (const ClusterStats& st : request_stats) {
+    counters.add("serve.bfp_macs", st.bfp_macs);
+    counters.add("cluster.collective_cycles", st.collective_cycles);
+    counters.add("cluster.collective_bytes", st.collective_bytes);
+  }
+}
+
+ClusterForwards cluster_forwards(const ClusterExecutor& exec,
                                  const ArrivalTrace& trace,
-                                 const ServePolicy& policy,
-                                 ThreadPool* pool, Trace* event_trace,
-                                 const std::vector<CardFailure>& card_failures) {
-  trace.validate();
-  policy.validate();
-  BFP_REQUIRE(replicas >= 1, "serve_cluster: need at least one replica");
+                                 ThreadPool* pool) {
   const VitConfig& cfg = exec.config();
   const auto un = static_cast<std::size_t>(trace.total_requests);
-
-  ClusterServeResult out;
+  ClusterForwards out;
   out.features.resize(un);
   out.request_stats.resize(un);
 
-  // ---- phase 1: sharded functional forwards, index-owned slots ----
+  // Sharded functional forwards, index-owned slots.
   auto run_request = [&](std::size_t i) {
     std::vector<float> x = random_embeddings(
         cfg, trace.seed + static_cast<std::uint64_t>(i));
@@ -33,35 +35,46 @@ ClusterServeResult serve_cluster(const ClusterExecutor& exec, int replicas,
     for (std::size_t i = 0; i < un; ++i) run_request(i);
   }
 
-  // ---- phase 2: the shared serial event loop over the replicas ----
+  // Activations in over HBM, features (tokens x d) back out.
   const SystemConfig& card = exec.topology().card_config();
   const std::uint64_t io_bytes =
       static_cast<std::uint64_t>(cfg.tokens()) *
       static_cast<std::uint64_t>(cfg.embed_dim) * sizeof(float);
-  const std::uint64_t load_cycles =
+  const std::uint64_t io_cycles =
       transfer_cycles(card.hbm, io_bytes, card.hbm.bfp_burst_bytes);
-  const std::uint64_t store_cycles = load_cycles;
-
-  BackendSpec backend;
-  backend.executors = replicas;
-  backend.freq_hz = card.pu.freq_hz;
-  backend.executor_prefix = "replica";
-  backend.failures =
-      replica_failures(card_failures, exec.num_cards(), replicas);
-  backend.passes.reserve(un);
-  for (std::size_t i = 0; i < un; ++i) {
-    backend.passes.push_back(
-        {load_cycles, out.request_stats[i].total_cycles(), store_cycles});
+  out.passes.reserve(un);
+  for (const ClusterStats& st : out.request_stats) {
+    out.passes.push_back({io_cycles, st.total_cycles(), io_cycles});
   }
-  out.report = serve_events(backend, trace, policy, event_trace);
+  return out;
+}
 
-  for (std::size_t i = 0; i < un; ++i) {
-    out.report.counters.add("serve.bfp_macs", out.request_stats[i].bfp_macs);
-    out.report.counters.add("cluster.collective_cycles",
-                            out.request_stats[i].collective_cycles);
-    out.report.counters.add("cluster.collective_bytes",
-                            out.request_stats[i].collective_bytes);
-  }
+ClusterServeResult serve_cluster(const ClusterExecutor& exec, int replicas,
+                                 const ArrivalTrace& trace,
+                                 const ServePolicy& policy,
+                                 ThreadPool* pool, Trace* event_trace,
+                                 const std::vector<CardFailure>& card_failures) {
+  trace.validate();
+  policy.validate();
+  BFP_REQUIRE(replicas >= 1, "serve_cluster: need at least one replica");
+
+  // ---- phase 1: sharded functional forwards, index-owned slots ----
+  ClusterForwards fwd = cluster_forwards(exec, trace, pool);
+
+  // ---- phase 2: the serial event loop over a fixed replica pool ----
+  FleetSpec spec;
+  spec.freq_hz = exec.topology().card_config().pu.freq_hz;
+  spec.failures = replica_failures(card_failures, exec.num_cards(), replicas);
+  ReplicaClassSpec cls;
+  cls.cards = exec.num_cards();
+  cls.passes = std::move(fwd.passes);
+  cls.initial_replicas = replicas;
+  cls.max_replicas = replicas;
+  spec.classes.push_back(std::move(cls));
+
+  ClusterServeResult out;
+  out.report = serve_fleet(spec, trace, policy, event_trace).serve;
+  fwd.add_counters(out.report.counters);
   out.report.counters.add("cluster.cards",
                           static_cast<std::uint64_t>(exec.num_cards()));
   out.report.counters.add("cluster.replicas",
@@ -69,6 +82,8 @@ ClusterServeResult serve_cluster(const ClusterExecutor& exec, int replicas,
   if (!card_failures.empty()) {
     out.report.counters.add("cluster.card_failures", card_failures.size());
   }
+  out.features = std::move(fwd.features);
+  out.request_stats = std::move(fwd.request_stats);
   return out;
 }
 

@@ -1,8 +1,8 @@
 // Online serving against a cluster: `replicas` data-parallel copies of a
 // sharded (tensor- or pipeline-parallel) cluster stand behind the same
 // bounded admission queue and SLO-aware continuous batcher that serves the
-// single-card path — serve_events does not care that an "executor" is now
-// a whole multi-card replica.
+// single-card path — serve_fleet does not care that a replica is now a
+// whole multi-card cluster.
 //
 // Same two-phase split as serve_online: a parallel functional phase runs
 // every request's sharded forward into index-owned slots (bit-identical
@@ -21,11 +21,29 @@
 
 namespace bfpsim {
 
+/// Phase 1 of cluster serving, shared by serve_cluster and
+/// Session::serve_fleet: every request's sharded forward on `exec` and the
+/// per-request pass table a replica of `exec` serves them with. Every slot
+/// is populated, even for requests the queue later rejects — that is what
+/// makes the phase parallel.
+struct ClusterForwards {
+  std::vector<std::vector<float>> features;  ///< per request id
+  std::vector<ClusterStats> request_stats;   ///< per request id
+  std::vector<PassSpec> passes;              ///< per request id
+
+  /// Add the functional-work counters (bfp MACs, collective cycles and
+  /// bytes) to `counters`, in request-id order.
+  void add_counters(Counters& counters) const;
+};
+
+/// Run phase 1 for `trace`. `pool` parallelizes the forwards (nullptr =
+/// serial); request i's embeddings derive from trace.seed + i.
+ClusterForwards cluster_forwards(const ClusterExecutor& exec,
+                                 const ArrivalTrace& trace, ThreadPool* pool);
+
 struct ClusterServeResult {
   ServeReport report;
-  /// Functional block outputs per request id (every slot populated, even
-  /// for requests the queue later rejected — that is what makes phase 1
-  /// parallel).
+  /// Functional block outputs per request id (see ClusterForwards).
   std::vector<std::vector<float>> features;
   std::vector<ClusterStats> request_stats;  ///< per request id
 };

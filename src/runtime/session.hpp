@@ -24,7 +24,6 @@
 
 #include "cluster/cluster_serving.hpp"
 #include "fabric/system.hpp"
-#include "fleet/fleet_loop.hpp"
 #include "runtime/device_memory.hpp"
 #include "serving/event_loop.hpp"
 #include "transformer/model.hpp"

@@ -1,4 +1,4 @@
-#include "fleet/admission.hpp"
+#include "serving/admission.hpp"
 
 #include <algorithm>
 #include <tuple>
@@ -85,7 +85,7 @@ FleetPushOutcome FleetAdmissionQueue::push(const QueueEntry& e) {
   }
   // Quota is charged net of the victim: shedding the tenant's own entry
   // frees one of its slots, so a lone tenant owning the whole capacity
-  // sheds exactly like the plain AdmissionQueue would.
+  // sheds exactly as the plain DropPolicy says.
   const std::size_t freed = q_[victim_at].tenant == e.tenant ? 1 : 0;
   if (has_quota && held_[t] - freed >= quota_[t]) {
     ++quota_rejected_;

@@ -1,7 +1,11 @@
-// Priority-tiered, quota-enforcing admission queue for fleet serving.
+// The serving loop's admission queue: bounded, deadline-ordered, with
+// priority tiers and per-tenant quotas.
 //
-// Layers two multi-tenant policies onto the serving layer's bounded
-// deadline queue without touching it:
+// Entries are ordered earliest deadline first (request id as the
+// tie-break) within a tier, so the continuous batcher always sees the most
+// urgent admitted request at the head. Depth is bounded: a request
+// arriving at a full queue is handled by the DropPolicy (serving/queue.hpp).
+// Two multi-tenant policies sit on top:
 //
 //  * per-tenant quotas — each tenant owns a fixed number of queue slots
 //    (TenantSet::quota_slots); a request arriving with its tenant at quota
@@ -13,12 +17,12 @@
 //    lowest-priority entry (the queue tail: worst tier, latest deadline,
 //    highest id) if and only if that entry's tier is strictly worse than
 //    the newcomer's — equal-tier traffic falls back to the configured
-//    DropPolicy, exactly as the single-tier queue would.
+//    DropPolicy.
 //
-// With one tenant (quota = whole capacity) and one tier, every operation
-// reduces to AdmissionQueue semantics: same order, same victims, same
-// counters — which is what keeps the degenerate fleet bit-identical to
-// serve_cluster.
+// With one tenant (quota = whole capacity) and one tier, the queue is the
+// plain bounded EDF queue: quotas and tiers never bind, and the victims
+// are the DropPolicy's (pinned by
+// FleetAdmission.SingleTenantReducesToAdmissionQueue).
 //
 // Purely serial, purely deterministic: every operation is a function of
 // the call sequence.
@@ -50,7 +54,8 @@ class FleetAdmissionQueue {
   /// Offer a request. With room, the tenant's quota alone decides; when
   /// full, the would-be victim is chosen first (see the header comment
   /// for the shed order) and the newcomer's quota is charged net of any
-  /// same-tenant victim, so a lone tenant reduces to AdmissionQueue.
+  /// same-tenant victim, so a lone tenant sheds exactly as the plain
+  /// DropPolicy says.
   [[nodiscard]] FleetPushOutcome push(const QueueEntry& e);
 
   bool empty() const { return q_.empty(); }

@@ -1,4 +1,4 @@
-#include "fleet/autoscaler.hpp"
+#include "serving/autoscaler.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,13 +1,16 @@
 #include "serving/event_loop.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <queue>
 #include <span>
+#include <sstream>
 #include <string>
 
 #include "common/arena.hpp"
 #include "common/contract.hpp"
 #include "common/error.hpp"
+#include "serving/admission.hpp"
 
 namespace bfpsim {
 
@@ -18,14 +21,31 @@ void ServePolicy::validate() const {
   BFP_REQUIRE(max_retries >= 0, "ServePolicy: max_retries must be >= 0");
 }
 
-void BackendSpec::validate() const {
-  BFP_REQUIRE(executors >= 1, "BackendSpec: need at least one executor");
-  BFP_REQUIRE(freq_hz > 0.0, "BackendSpec: frequency must be positive");
-  BFP_REQUIRE(!passes.empty(), "BackendSpec: per-request passes required");
-  for (const ExecutorFailure& f : failures) {
-    BFP_REQUIRE(f.executor >= 0 && f.executor < executors,
-                "BackendSpec: failure targets an unknown executor");
+void FleetSpec::validate(int total_requests) const {
+  BFP_REQUIRE(freq_hz > 0.0, "FleetSpec: frequency must be positive");
+  BFP_REQUIRE(!classes.empty(), "FleetSpec: need at least one replica class");
+  int initial = 0;
+  for (const ReplicaClassSpec& c : classes) {
+    BFP_REQUIRE(c.cards >= 1, "FleetSpec: class needs >= 1 card");
+    BFP_REQUIRE(c.initial_replicas >= 0,
+                "FleetSpec: initial replicas must be >= 0");
+    BFP_REQUIRE(c.max_replicas >= std::max(1, c.initial_replicas),
+                "FleetSpec: max replicas must cover the initial fleet");
+    BFP_REQUIRE(c.passes.size() >= static_cast<std::size_t>(total_requests),
+                "FleetSpec: class needs one pass spec per request id");
+    initial += c.initial_replicas;
   }
+  BFP_REQUIRE(initial >= 1, "FleetSpec: fleet starts with zero replicas");
+  for (const ExecutorFailure& f : failures) {
+    BFP_REQUIRE(f.executor >= 0 && f.executor < initial,
+                "FleetSpec: failure targets an unknown replica");
+  }
+  // The scaler tick stops once every request is completed or rejected;
+  // abandoned and stranded requests never are, so it would tick forever.
+  BFP_REQUIRE(failures.empty() || !autoscaler.enabled,
+              "FleetSpec: executor failures need the autoscaler off");
+  tenants.validate();
+  autoscaler.validate();
 }
 
 namespace {
@@ -37,12 +57,14 @@ struct Event {
   std::uint64_t seq = 0;
   enum class Kind {
     kArrival,
-    kUnitFree,
+    kReplicaFree,
     kTimer,
     kComplete,
+    kScalerTick,
+    kReplicaReady,
     kExecutorFail,
   } kind = Kind::kArrival;
-  int payload = 0;  ///< request id (arrival/complete) or executor index
+  int payload = 0;  ///< request id (arrival/complete) or replica instance
   /// kComplete: the request's dispatch generation when the event was
   /// scheduled. A failure-triggered re-dispatch bumps the generation, so
   /// completions of aborted batches are recognized as stale and ignored.
@@ -58,27 +80,67 @@ struct EventAfter {
 
 }  // namespace
 
-ServeReport serve_events(const BackendSpec& backend,
-                         const ArrivalTrace& trace,
-                         const ServePolicy& policy, Trace* event_trace) {
+FleetReport serve_fleet(const FleetSpec& spec, const ArrivalTrace& trace,
+                        const ServePolicy& policy, Trace* event_trace) {
   trace.validate();
   policy.validate();
-  backend.validate();
   const int n = trace.total_requests;
+  spec.validate(n);
   const auto un = static_cast<std::size_t>(n);
-  BFP_REQUIRE(backend.passes.size() >= un,
-              "serve_events: one pass spec per request id required");
 
-  ServeReport rep;
-  const double freq = backend.freq_hz;
+  FleetReport fleet;
+  ServeReport& rep = fleet.serve;
+  const double freq = spec.freq_hz;
   rep.freq_hz = freq;
   rep.offered_rps = trace.offered_rps;
   rep.slo_cycles = static_cast<std::uint64_t>(policy.slo_ms * 1e-3 * freq);
 
-  const int num_units = backend.executors;
-  std::vector<std::uint64_t> busy_until(
-      static_cast<std::size_t>(num_units), 0);
-  rep.unit_busy_cycles.assign(static_cast<std::size_t>(num_units), 0);
+  // Per-tenant deadlines: a tenant's slo_ms override (0 = inherit).
+  const int num_tenants =
+      spec.tenants.empty() ? 1 : static_cast<int>(spec.tenants.size());
+  std::vector<std::uint64_t> tenant_slo(
+      static_cast<std::size_t>(num_tenants), rep.slo_cycles);
+  std::vector<int> tenant_tier(static_cast<std::size_t>(num_tenants), 0);
+  for (std::size_t k = 0; k < spec.tenants.size(); ++k) {
+    const TenantSpec& t = spec.tenants.tenants[k];
+    if (t.slo_ms > 0.0) {
+      tenant_slo[k] = static_cast<std::uint64_t>(t.slo_ms * 1e-3 * freq);
+    }
+    tenant_tier[k] = t.tier;
+  }
+
+  // The replica table. Instance ids are dense and monotone — retired ids
+  // are never reused, so traces and records keep stable lanes.
+  std::vector<ReplicaInstance> replicas;
+  /// Entries each replica is servicing right now (for failure aborts).
+  std::vector<std::vector<QueueEntry>> inflight;
+  std::vector<std::vector<PassSpec>> class_passes;
+  std::vector<int> class_max;
+  class_passes.reserve(spec.classes.size());
+  class_max.reserve(spec.classes.size());
+  for (const ReplicaClassSpec& c : spec.classes) {
+    class_passes.push_back(c.passes);
+    class_max.push_back(c.max_replicas);
+  }
+  auto spawn_replica = [&](int cls, std::uint64_t now,
+                           std::uint64_t ready_at) {
+    ReplicaInstance r;
+    r.instance = static_cast<int>(replicas.size());
+    r.cls = cls;
+    r.provisioned_cycle = now;
+    r.ready_cycle = ready_at;
+    replicas.push_back(r);
+    inflight.emplace_back();
+    rep.unit_busy_cycles.push_back(0);
+    return r.instance;
+  };
+  for (std::size_t c = 0; c < spec.classes.size(); ++c) {
+    for (int i = 0; i < spec.classes[c].initial_replicas; ++i) {
+      spawn_replica(static_cast<int>(c), 0, 0);
+    }
+  }
+  int live_replicas = static_cast<int>(replicas.size());
+  fleet.peak_replicas = live_replicas;
 
   std::priority_queue<Event, std::vector<Event>, EventAfter> events;
   std::uint64_t seq = 0;
@@ -86,15 +148,13 @@ ServeReport serve_events(const BackendSpec& backend,
                         std::uint64_t aux = 0) {
     events.push(Event{cycle, seq++, kind, payload, aux});
   };
-  // Tenant tags ride on the trace (fleet layer). Closed-loop reinjected
-  // ids (beyond the initial arrivals) belong to the anonymous tenant 0.
   std::vector<int> tenant_by_id(un, 0);
-  int num_tenants = 1;
   for (const RequestArrival& a : trace.arrivals) {
     push_event(a.cycle, Event::Kind::kArrival, a.id);
     if (a.tenant > 0 && static_cast<std::size_t>(a.id) < un) {
+      BFP_REQUIRE(a.tenant < num_tenants,
+                  "serve_fleet: arrival tagged with unknown tenant");
       tenant_by_id[static_cast<std::size_t>(a.id)] = a.tenant;
-      num_tenants = std::max(num_tenants, a.tenant + 1);
     }
   }
   // Hard executor failures are known to the simulation up front (the fault
@@ -102,68 +162,61 @@ ServeReport serve_events(const BackendSpec& backend,
   // numbers, so at an equal cycle a failure is handled before any
   // completion scheduled later — a batch finishing exactly at the death
   // cycle still completes (complete_cycle <= now at abort time).
-  for (const ExecutorFailure& f : backend.failures) {
+  for (const ExecutorFailure& f : spec.failures) {
     push_event(f.cycle, Event::Kind::kExecutorFail, f.executor);
   }
-  // Closed loop: arrivals beyond the initial client burst are injected at
-  // completion + think time, taking the next unissued id.
+  Autoscaler scaler(spec.autoscaler);
+  if (spec.autoscaler.enabled) {
+    push_event(spec.autoscaler.interval_cycles, Event::Kind::kScalerTick, 0);
+  }
   int next_closed_id = static_cast<int>(trace.arrivals.size());
 
-  AdmissionQueue queue(policy.queue_capacity, policy.drop_policy);
+  FleetAdmissionQueue queue(
+      policy.queue_capacity, policy.drop_policy,
+      spec.tenants.quota_slots(policy.queue_capacity));
   std::vector<LatencyRecord> records(un);
   std::vector<bool> completed(un, false);
-  std::vector<bool> dead(static_cast<std::size_t>(num_units), false);
-  /// Entries currently being serviced per executor (for failure aborts).
-  std::vector<std::vector<QueueEntry>> inflight(
-      static_cast<std::size_t>(num_units));
   std::vector<std::uint64_t> dispatch_gen(un, 0);
   std::vector<int> retries(un, 0);
+  int resolved = 0;  ///< completed + rejected/shed ids (tick termination)
 
   auto trace_ev = [&](std::uint64_t cycle, std::string component,
-                      std::string message) {
+                      std::string message, int pid = -1) {
     if (event_trace != nullptr) {
-      event_trace->record(cycle, std::move(component), std::move(message));
+      event_trace->record_pid(cycle, std::move(component),
+                              std::move(message), pid);
     }
   };
   auto sample_depth = [&](std::uint64_t cycle) {
     rep.queue_depth.push_back({cycle, queue.size()});
   };
-
-  // Single-request service estimate used by the batcher's "is waiting
-  // still worth it?" test for the head of the queue.
-  auto estimate_service = [&](int id) {
-    const PassSpec& p = backend.passes[static_cast<std::size_t>(id)];
-    return p.load_cycles + p.compute_cycles + p.store_cycles;
+  auto replica_name = [&](int instance) {
+    return spec.replica_prefix + std::to_string(instance);
   };
 
   // Per-dispatch scratch. The loop is serial, so one arena serves every
   // batch; each dispatch brackets its allocations with an ArenaScope and
   // the chunks are reused batch after batch — zero heap traffic after the
-  // first dispatch. With use_arena off the same containers fall back to
-  // std::allocator (null-arena ArenaAllocator): the choice is invisible in
-  // the report.
-  Arena dispatch_arena;
-  Arena* scratch = policy.use_arena ? &dispatch_arena : nullptr;
+  // first dispatch.
+  Arena scratch;
 
-  // The continuous batcher. For every idle executor: dispatch a full batch
-  // at once; dispatch a partial batch when the head has already waited
-  // max_wait_cycles, or when its SLO slack is gone (waiting longer would
-  // bust the deadline even if served immediately later). Otherwise
-  // schedule a timer at the earliest cycle one of those becomes true.
+  // The continuous batcher. While a replica is free (the router's
+  // cheapest free replica; the lowest free id on a homogeneous pool):
+  // dispatch a full batch at once; dispatch a partial batch when the head
+  // has already waited max_wait_cycles, or when its SLO slack is gone
+  // (waiting longer would bust the deadline even if served immediately
+  // later). Otherwise schedule a timer at the earliest cycle one of those
+  // becomes true. The service estimate is the chosen replica's class cost
+  // for the head request.
   auto try_dispatch = [&](std::uint64_t now) {
     while (!queue.empty()) {
-      int unit = -1;
-      for (int u = 0; u < num_units; ++u) {
-        if (dead[static_cast<std::size_t>(u)]) continue;
-        if (busy_until[static_cast<std::size_t>(u)] <= now) {
-          unit = u;
-          break;
-        }
-      }
-      if (unit < 0) return;  // every executor busy; kUnitFree will revisit
-
       const QueueEntry& head = queue.front();
-      const std::uint64_t est = estimate_service(head.id);
+      const int inst = pick_replica(replicas, class_passes, now, head.id);
+      if (inst < 0) return;  // all busy/cold; kReplicaFree/Ready revisits
+      ReplicaInstance& unit = replicas[static_cast<std::size_t>(inst)];
+
+      const std::uint64_t est = class_service_estimate(
+          class_passes[static_cast<std::size_t>(unit.cls)], head.id);
       const bool full = queue.size() >= static_cast<std::size_t>(
                                             policy.max_batch);
       const bool waited_out =
@@ -173,18 +226,17 @@ ServeReport serve_events(const BackendSpec& backend,
         const std::uint64_t wait_at =
             head.arrival_cycle + policy.max_wait_cycles;
         const std::uint64_t slo_at = head.deadline_cycle - est;
-        const std::uint64_t revisit = std::min(wait_at, slo_at);
-        // revisit > now because neither bound has been hit yet.
-        push_event(revisit, Event::Kind::kTimer, 0);
+        // The revisit is > now because neither bound has been hit yet.
+        push_event(std::min(wait_at, slo_at), Event::Kind::kTimer, 0);
         rep.counters.add("serve.timers");
         return;
       }
 
-      // Form the batch: EDF order straight off the queue. Batch scratch
-      // lives in the dispatch arena for exactly this iteration.
-      ArenaScope batch_scope(scratch);
+      // Form the batch in queue order. Batch scratch lives in the dispatch
+      // arena for exactly this iteration.
+      ArenaScope batch_scope(&scratch);
       std::vector<QueueEntry, ArenaAllocator<QueueEntry>> batch{
-          ArenaAllocator<QueueEntry>(scratch)};
+          ArenaAllocator<QueueEntry>(&scratch)};
       batch.reserve(static_cast<std::size_t>(policy.max_batch));
       while (!queue.empty() &&
              batch.size() < static_cast<std::size_t>(policy.max_batch)) {
@@ -193,10 +245,11 @@ ServeReport serve_events(const BackendSpec& backend,
       sample_depth(now);
 
       std::vector<PassSpec, ArenaAllocator<PassSpec>> passes{
-          ArenaAllocator<PassSpec>(scratch)};
+          ArenaAllocator<PassSpec>(&scratch)};
       passes.reserve(batch.size());
       for (const QueueEntry& e : batch) {
-        passes.push_back(backend.passes[static_cast<std::size_t>(e.id)]);
+        passes.push_back(class_passes[static_cast<std::size_t>(unit.cls)]
+                                     [static_cast<std::size_t>(e.id)]);
       }
       const PipelineResult pipe = simulate_pipeline(
           std::span<const PassSpec>(passes.data(), passes.size()),
@@ -209,7 +262,7 @@ ServeReport serve_events(const BackendSpec& backend,
         r.arrival_cycle = e.arrival_cycle;
         r.dispatch_cycle = now;
         r.complete_cycle = now + pipe.passes[j].store_end;
-        r.unit = unit;
+        r.unit = inst;
         r.batch_size = static_cast<int>(batch.size());
         r.slo_met = r.complete_cycle <= e.deadline_cycle;
         r.tenant = e.tenant;
@@ -217,17 +270,19 @@ ServeReport serve_events(const BackendSpec& backend,
         push_event(r.complete_cycle, Event::Kind::kComplete, e.id,
                    ++dispatch_gen[static_cast<std::size_t>(e.id)]);
       }
-      const auto uu = static_cast<std::size_t>(unit);
-      inflight[uu].assign(batch.begin(), batch.end());
-      busy_until[uu] = now + pipe.total_cycles;
-      rep.unit_busy_cycles[uu] += pipe.total_cycles;
-      push_event(busy_until[uu], Event::Kind::kUnitFree, unit);
+      inflight[static_cast<std::size_t>(inst)].assign(batch.begin(),
+                                                       batch.end());
+      unit.busy_until = now + pipe.total_cycles;
+      rep.unit_busy_cycles[static_cast<std::size_t>(inst)] +=
+          pipe.total_cycles;
+      push_event(unit.busy_until, Event::Kind::kReplicaFree, inst);
 
       rep.counters.add("serve.batches");
       rep.counters.add("serve.dispatched", batch.size());
-      trace_ev(now, backend.executor_prefix + std::to_string(unit),
+      trace_ev(now, replica_name(inst),
                "dispatch batch=" + std::to_string(batch.size()) + " head=req" +
-                   std::to_string(batch.front().id));
+                   std::to_string(batch.front().id),
+               inst);
     }
   };
 
@@ -241,34 +296,43 @@ ServeReport serve_events(const BackendSpec& backend,
     events.pop();
     const std::uint64_t now = ev.cycle;
     BFPSIM_INVARIANT(now >= last_now,
-                     "serve_events: virtual time must be monotone");
+                     "serve_fleet: virtual time must be monotone");
     last_now = now;
     switch (ev.kind) {
       case Event::Kind::kArrival: {
         const int id = ev.payload;
+        const int tenant = tenant_by_id[static_cast<std::size_t>(id)];
+        const auto ut = static_cast<std::size_t>(tenant);
         rep.counters.add("serve.requests");
         trace_ev(now, "queue", "arrive req" + std::to_string(id));
-        QueueEntry e{id, now, now + rep.slo_cycles,
-                     tenant_by_id[static_cast<std::size_t>(id)], 0};
-        QueueEntry victim;
-        bool had_victim = false;
-        const bool admitted = queue.push(e, &victim, &had_victim);
-        if (had_victim) {
-          rep.rejected_ids.push_back(victim.id);
+        const QueueEntry e{id, now, now + tenant_slo[ut], tenant,
+                           tenant_tier[ut]};
+        const FleetPushOutcome got = queue.push(e);
+        if (got.had_victim) {
+          rep.rejected_ids.push_back(got.victim.id);
+          ++resolved;
           rep.counters.add("serve.shed");
-          trace_ev(now, "queue", "shed req" + std::to_string(victim.id));
+          trace_ev(now, "queue", "shed req" + std::to_string(got.victim.id));
           // Closed loop: a shed request still releases its client.
           if (trace.closed_loop && next_closed_id < n) {
             push_event(now + trace.think_cycles, Event::Kind::kArrival,
                        next_closed_id++);
           }
         }
-        if (admitted) {
+        if (got.admitted) {
           rep.counters.add("serve.admitted");
         } else {
           rep.rejected_ids.push_back(id);
-          rep.counters.add("serve.rejected");
-          trace_ev(now, "queue", "reject req" + std::to_string(id));
+          ++resolved;
+          if (got.quota_rejected) {
+            rep.counters.add("fleet.quota_rejected");
+            trace_ev(now, "queue",
+                     "quota-reject req" + std::to_string(id) + " tenant" +
+                         std::to_string(tenant));
+          } else {
+            rep.counters.add("serve.rejected");
+            trace_ev(now, "queue", "reject req" + std::to_string(id));
+          }
           if (trace.closed_loop && next_closed_id < n) {
             push_event(now + trace.think_cycles, Event::Kind::kArrival,
                        next_closed_id++);
@@ -285,31 +349,79 @@ ServeReport serve_events(const BackendSpec& backend,
         // generation) makes this event stale.
         if (!completed[uid] || ev.aux != dispatch_gen[uid]) break;
         const auto& r = records[uid];
-        auto& fl = inflight[static_cast<std::size_t>(r.unit)];
-        std::erase_if(fl, [id](const QueueEntry& e) { return e.id == id; });
+        std::erase_if(inflight[static_cast<std::size_t>(r.unit)],
+                      [id](const QueueEntry& e) { return e.id == id; });
+        ++resolved;
         rep.counters.add("serve.completed");
-        trace_ev(now, backend.executor_prefix + std::to_string(r.unit),
-                 "complete req" + std::to_string(id));
+        scaler.observe_completion(r.total_cycles());
+        trace_ev(now, replica_name(r.unit),
+                 "complete req" + std::to_string(id), r.unit);
         if (trace.closed_loop && next_closed_id < n) {
           push_event(now + trace.think_cycles, Event::Kind::kArrival,
                      next_closed_id++);
         }
         break;
       }
-      case Event::Kind::kExecutorFail: {
-        const int u = ev.payload;
-        const auto uu = static_cast<std::size_t>(u);
-        if (dead[uu]) break;
-        dead[uu] = true;
-        rep.counters.add("serve.executor_failures");
-        trace_ev(now, backend.executor_prefix + std::to_string(u),
-                 "executor failed");
-        if (busy_until[uu] > now) {
-          // The aborted batch's remaining service never happened.
-          rep.unit_busy_cycles[uu] -= busy_until[uu] - now;
-          busy_until[uu] = now;
+      case Event::Kind::kScalerTick: {
+        int ready = 0;
+        int pending = 0;
+        for (const ReplicaInstance& r : replicas) {
+          if (r.retired) continue;
+          (r.ready_cycle <= now ? ready : pending) += 1;
         }
-        for (const QueueEntry& e : inflight[uu]) {
+        const ScaleDecision d =
+            scaler.evaluate(now, queue.size(), ready, pending,
+                            rep.slo_cycles);
+        for (int s = 0; s < d.spawn; ++s) {
+          const int cls = pick_spawn_class(replicas, class_passes, class_max);
+          if (cls < 0) break;  // every class at its cap
+          const int inst = spawn_replica(
+              cls, now, now + spec.autoscaler.cold_start_cycles);
+          push_event(replicas[static_cast<std::size_t>(inst)].ready_cycle,
+                     Event::Kind::kReplicaReady, inst);
+          fleet.scale_events.push_back({now, true, inst, cls});
+          ++live_replicas;
+          fleet.peak_replicas = std::max(fleet.peak_replicas, live_replicas);
+          rep.counters.add("fleet.scale_ups");
+          trace_ev(now, replica_name(inst),
+                   "spawn class=" + spec.classes[static_cast<std::size_t>(
+                                                     cls)].name,
+                   inst);
+        }
+        if (d.retire) {
+          const int inst = pick_retire(replicas, class_passes, now);
+          if (inst >= 0) {
+            ReplicaInstance& r = replicas[static_cast<std::size_t>(inst)];
+            r.retired = true;
+            r.retired_cycle = now;
+            fleet.scale_events.push_back({now, false, inst, r.cls});
+            --live_replicas;
+            rep.counters.add("fleet.scale_downs");
+            trace_ev(now, replica_name(inst), "retire", inst);
+          }
+        }
+        if (resolved < n) {
+          push_event(now + spec.autoscaler.interval_cycles,
+                     Event::Kind::kScalerTick, 0);
+        }
+        break;
+      }
+      case Event::Kind::kExecutorFail: {
+        const int inst = ev.payload;
+        const auto ui = static_cast<std::size_t>(inst);
+        ReplicaInstance& dead = replicas[ui];
+        if (dead.failed) break;
+        // Dead for good, but still provisioned: it stays in the
+        // utilization denominator until the makespan.
+        dead.failed = true;
+        rep.counters.add("serve.executor_failures");
+        trace_ev(now, replica_name(inst), "executor failed", inst);
+        if (dead.busy_until > now) {
+          // The aborted batch's remaining service never happened.
+          rep.unit_busy_cycles[ui] -= dead.busy_until - now;
+          dead.busy_until = now;
+        }
+        for (const QueueEntry& e : inflight[ui]) {
           const auto ie = static_cast<std::size_t>(e.id);
           // Finished at or before the death cycle: counts as completed
           // (its kComplete event is processed normally).
@@ -329,19 +441,25 @@ ServeReport serve_events(const BackendSpec& backend,
             }
           }
         }
-        inflight[uu].clear();
+        inflight[ui].clear();
         sample_depth(now);
         try_dispatch(now);
         break;
       }
-      case Event::Kind::kUnitFree:
+      case Event::Kind::kReplicaReady: {
+        const int inst = ev.payload;
+        trace_ev(now, replica_name(inst), "ready", inst);
+        try_dispatch(now);
+        break;
+      }
+      case Event::Kind::kReplicaFree:
       case Event::Kind::kTimer:
         try_dispatch(now);
         break;
     }
   }
   if (!queue.empty()) {
-    // Admitted work stranded because every executor died.
+    // Admitted work stranded because every replica died.
     rep.counters.add("serve.stranded", queue.size());
   }
 
@@ -363,18 +481,35 @@ ServeReport serve_events(const BackendSpec& backend,
   rep.max_queue_depth = queue.peak_depth();
   if (num_tenants > 1) {
     // Single-tenant runs leave this empty, keeping the report (and its
-    // JSON) bit-identical to the pre-fleet format.
+    // JSON) free of a "tenants" section.
     rep.tenants = tenant_breakdowns(rep, tenant_by_id, num_tenants);
+    for (TenantBreakdown& row : rep.tenants) {
+      const auto k = static_cast<std::size_t>(row.tenant);
+      if (k < spec.tenants.size()) {
+        row.name = spec.tenants.tenants[k].name;
+        row.tier = spec.tenants.tenants[k].tier;
+      }
+    }
   }
 
+  // Provisioned replica-cycles: spawn decision -> retirement (or
+  // makespan). A replica spawned after the last completion contributes
+  // nothing rather than negative time. A fixed pool provisions
+  // replicas x makespan, so utilization is busy / (replicas x makespan).
   std::uint64_t busy = 0;
   for (const std::uint64_t b : rep.unit_busy_cycles) busy += b;
+  for (const ReplicaInstance& r : replicas) {
+    const std::uint64_t end =
+        r.retired ? r.retired_cycle : rep.makespan_cycles;
+    if (end > r.provisioned_cycle) {
+      fleet.replica_cycles += end - r.provisioned_cycle;
+    }
+  }
   rep.utilization =
-      rep.makespan_cycles == 0
+      fleet.replica_cycles == 0
           ? 0.0
           : static_cast<double>(busy) /
-                (static_cast<double>(num_units) *
-                 static_cast<double>(rep.makespan_cycles));
+                static_cast<double>(fleet.replica_cycles);
   rep.completed_rps =
       rep.makespan_cycles == 0
           ? 0.0
@@ -383,7 +518,63 @@ ServeReport serve_events(const BackendSpec& backend,
   rep.counters.add("serve.slo_violations", rep.slo_violations);
   rep.counters.add("serve.makespan_cycles", rep.makespan_cycles);
   rep.counters.add("serve.peak_queue_depth", rep.max_queue_depth);
-  return rep;
+  fleet.replicas = replicas;
+  fleet.classes.reserve(spec.classes.size());
+  for (const ReplicaClassSpec& c : spec.classes) {
+    fleet.classes.push_back({c.name, c.cards, c.strategy,
+                             c.initial_replicas, c.max_replicas});
+  }
+  return fleet;
+}
+
+namespace {
+
+std::string fmt_double(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+}  // namespace
+
+std::string FleetReport::to_json() const {
+  std::ostringstream os;
+  os << "{\"fleet\":{";
+  os << "\"classes\":[";
+  for (std::size_t i = 0; i < classes.size(); ++i) {
+    const FleetClassInfo& c = classes[i];
+    if (i != 0) os << ",";
+    os << "{\"name\":\"" << json_escape(c.name) << "\",\"cards\":" << c.cards
+       << ",\"strategy\":\"" << json_escape(c.strategy)
+       << "\",\"initial_replicas\":" << c.initial_replicas
+       << ",\"max_replicas\":" << c.max_replicas << "}";
+  }
+  os << "],";
+  os << "\"peak_replicas\":" << peak_replicas << ",";
+  os << "\"replica_cycles\":" << replica_cycles << ",";
+  os << "\"scale_events\":[";
+  for (std::size_t i = 0; i < scale_events.size(); ++i) {
+    const FleetScaleEvent& e = scale_events[i];
+    if (i != 0) os << ",";
+    os << "{\"cycle\":" << e.cycle << ",\"kind\":\""
+       << (e.up ? "up" : "down") << "\",\"instance\":" << e.instance
+       << ",\"class\":" << e.cls << "}";
+  }
+  os << "],";
+  os << "\"replicas\":[";
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    const ReplicaInstance& r = replicas[i];
+    if (i != 0) os << ",";
+    os << "{\"instance\":" << r.instance << ",\"class\":" << r.cls
+       << ",\"provisioned_cycle\":" << r.provisioned_cycle
+       << ",\"ready_cycle\":" << r.ready_cycle
+       << ",\"retired\":" << (r.retired ? "true" : "false")
+       << ",\"retired_cycle\":" << r.retired_cycle << "}";
+  }
+  os << "],";
+  os << "\"utilization\":" << fmt_double(serve.utilization);
+  os << "},\"serve\":" << serve.to_json() << "}";
+  return os.str();
 }
 
 OnlineServeResult serve_online(const VitModel& model,
@@ -420,7 +611,7 @@ OnlineServeResult serve_online(const VitModel& model,
     for (std::size_t i = 0; i < un; ++i) run_request(i);
   }
 
-  // ---- phase 2: the shared serial event loop ----
+  // ---- phase 2: the serial event loop, one replica per unit ----
   const HbmConfig& hbm = sys.config().hbm;
   const std::uint64_t in_bytes =
       static_cast<std::uint64_t>(cfg.tokens()) *
@@ -430,16 +621,21 @@ OnlineServeResult serve_online(const VitModel& model,
   // Features are tokens x d for every request of this model.
   const std::uint64_t store_cycles = load_cycles;
 
-  BackendSpec backend;
-  backend.executors = sys.config().num_units;
-  BFP_REQUIRE(backend.executors >= 1, "serve_online: system has no units");
-  backend.freq_hz = sys.config().pu.freq_hz;
-  backend.passes.reserve(un);
+  BFP_REQUIRE(sys.config().num_units >= 1,
+              "serve_online: system has no units");
+  FleetSpec spec;
+  spec.freq_hz = sys.config().pu.freq_hz;
+  spec.replica_prefix = "unit";
+  ReplicaClassSpec units;
+  units.initial_replicas = sys.config().num_units;
+  units.max_replicas = units.initial_replicas;
+  units.passes.reserve(un);
   for (std::size_t i = 0; i < un; ++i) {
-    backend.passes.push_back(
+    units.passes.push_back(
         {load_cycles, out.compute_cycles[i], store_cycles});
   }
-  out.report = serve_events(backend, trace, policy, event_trace);
+  spec.classes.push_back(std::move(units));
+  out.report = serve_fleet(spec, trace, policy, event_trace).serve;
 
   // Functional-work counters, merged in request-id order (deterministic;
   // Counters is key-ordered, so merging after the loop changes nothing).

@@ -1,23 +1,17 @@
-// Bounded admission queue with backpressure for the serving event loop.
+// Admission-queue vocabulary shared by the serving loop and its queue
+// (serving/admission.hpp): the drop policy a full queue applies and the
+// entry it holds.
 //
-// The queue is deadline-ordered (earliest deadline first, request id as
-// the tie-break) so the continuous batcher always sees the most urgent
-// admitted request at the head. Depth is bounded: when a request arrives
-// at a full queue the drop policy decides who pays —
+// When a request arrives at a full queue the drop policy decides who pays —
 //
 //  * kRejectNewest — the arriving request is rejected (classic tail-drop:
 //    admitted work is never abandoned), or
 //  * kShedOldest   — the longest-waiting entry (the head, which under a
 //    uniform SLO is also the most-likely-already-doomed one) is shed to
 //    admit the newcomer (head-drop, as load-shedding proxies do).
-//
-// Purely serial, purely deterministic: every operation is a function of
-// the call sequence.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace bfpsim {
 
@@ -31,47 +25,8 @@ struct QueueEntry {
   int id = 0;
   std::uint64_t arrival_cycle = 0;
   std::uint64_t deadline_cycle = 0;  ///< arrival + SLO budget
-  int tenant = 0;  ///< tenant tag (fleet layer; 0 = the anonymous tenant)
-  int tier = 0;    ///< priority tier, 0 = highest (fleet layer)
-};
-
-class AdmissionQueue {
- public:
-  AdmissionQueue(std::size_t capacity, DropPolicy policy);
-
-  /// Offer a request. Returns true if `e` was admitted. When the queue is
-  /// full and the policy sheds, `*victim` receives the dropped entry and
-  /// is flagged via the return of `shed_victim()` for the caller to
-  /// account; under kRejectNewest `e` itself is the casualty.
-  [[nodiscard]] bool push(const QueueEntry& e, QueueEntry* victim,
-                          bool* had_victim);
-
-  bool empty() const { return q_.empty(); }
-  std::size_t size() const { return q_.size(); }
-  std::size_t capacity() const { return capacity_; }
-
-  /// Earliest-deadline entry (requires !empty()).
-  const QueueEntry& front() const { return q_.front(); }
-
-  /// Remove and return the earliest-deadline entry (requires !empty()).
-  QueueEntry pop();
-
-  /// Put an already-admitted entry back (executor-failure retry). Keeps
-  /// EDF order and *bypasses the capacity bound*: the request was admitted
-  /// once and backpressure must not turn an executor fault into a drop.
-  void requeue(const QueueEntry& e);
-
-  std::uint64_t rejected() const { return rejected_; }
-  std::uint64_t shed() const { return shed_; }
-  std::size_t peak_depth() const { return peak_depth_; }
-
- private:
-  std::size_t capacity_;
-  DropPolicy policy_;
-  std::vector<QueueEntry> q_;  ///< sorted by (deadline, id)
-  std::uint64_t rejected_ = 0;
-  std::uint64_t shed_ = 0;
-  std::size_t peak_depth_ = 0;
+  int tenant = 0;  ///< tenant tag (0 = the anonymous tenant)
+  int tier = 0;    ///< priority tier, 0 = highest
 };
 
 }  // namespace bfpsim

@@ -1,4 +1,4 @@
-#include "fleet/router.hpp"
+#include "serving/router.hpp"
 
 #include "common/error.hpp"
 
@@ -18,12 +18,14 @@ int pick_replica(const std::vector<ReplicaInstance>& replicas,
   int best = -1;
   std::uint64_t best_est = 0;
   for (const ReplicaInstance& r : replicas) {
-    if (r.retired || r.ready_cycle > now || r.busy_until > now) continue;
+    if (r.retired || r.failed || r.ready_cycle > now || r.busy_until > now) {
+      continue;
+    }
     const std::uint64_t est = class_service_estimate(
         class_passes[static_cast<std::size_t>(r.cls)], head_id);
     // Strict < keeps the lowest instance id on ties (the table is in
-    // instance order), which is the serve_events executor scan when all
-    // classes cost the same.
+    // instance order): the first-free-executor scan when all classes cost
+    // the same.
     if (best < 0 || est < best_est) {
       best = r.instance;
       best_est = est;
@@ -75,7 +77,9 @@ int pick_retire(const std::vector<ReplicaInstance>& replicas,
   int best = -1;
   std::uint64_t best_est = 0;
   for (const ReplicaInstance& r : replicas) {
-    if (r.retired || r.ready_cycle > now || r.busy_until > now) continue;
+    if (r.retired || r.failed || r.ready_cycle > now || r.busy_until > now) {
+      continue;
+    }
     const std::uint64_t est = class_service_estimate(
         class_passes[static_cast<std::size_t>(r.cls)], 0);
     // >= : on equal cost prefer the higher instance id (the newest).

@@ -6,10 +6,9 @@
 //
 //  * placement — among free replicas, the one whose class serves the head
 //    request cheapest (per-request pass cycles from the cluster cost
-//    model), tie-broken by lowest instance id. A homogeneous fleet
-//    degenerates to "lowest free instance id", which is exactly the
-//    serve_events executor scan — the hinge of the degenerate-equivalence
-//    guarantee.
+//    model), tie-broken by lowest instance id. A homogeneous pool
+//    degenerates to "lowest free instance id", the first-free-executor
+//    scan that single-card and cluster serving rely on.
 //  * spawn class — the cheapest class (per-request service estimate at
 //    request 0's pass, a stable proxy) that still has headroom under its
 //    max_replicas cap, tie-broken by lowest class index.
@@ -36,13 +35,16 @@ struct ReplicaInstance {
   bool retired = false;
   std::uint64_t provisioned_cycle = 0;  ///< when the spawn was decided
   std::uint64_t retired_cycle = 0;      ///< valid iff retired
+  /// Hard executor failure: never routed again, but stays provisioned
+  /// (a dead executor still counts in utilization's denominator).
+  bool failed = false;
 };
 
 /// pass.load + compute + store for request `id` in class `cls`'s table.
 std::uint64_t class_service_estimate(const std::vector<PassSpec>& passes,
                                      int id);
 
-/// Free replica (ready, idle, not retired) that serves request `head_id`
+/// Free replica (ready, idle, not retired or failed) that serves `head_id`
 /// cheapest; -1 if none is free. `class_passes[c]` is class c's
 /// per-request pass table.
 int pick_replica(const std::vector<ReplicaInstance>& replicas,
@@ -63,8 +65,8 @@ int pick_spawn_class(const std::vector<ReplicaInstance>& replicas,
                      const std::vector<std::vector<PassSpec>>& class_passes,
                      const std::vector<int>& class_max);
 
-/// Idle ready replica to retire (most expensive class, then highest
-/// instance id); -1 if none is idle.
+/// Idle ready replica (not failed) to retire (most expensive class, then
+/// highest instance id); -1 if none is idle.
 int pick_retire(const std::vector<ReplicaInstance>& replicas,
                 const std::vector<std::vector<PassSpec>>& class_passes,
                 std::uint64_t now);

@@ -1,4 +1,4 @@
-#include "fleet/tenant.hpp"
+#include "serving/tenant.hpp"
 
 #include <cmath>
 

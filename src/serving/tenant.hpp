@@ -38,8 +38,8 @@ struct TenantSet {
 
   /// Admission-queue slots per tenant: floor(capacity * w_t / sum(w)),
   /// clamped to at least 1 so no tenant can be starved outright. A
-  /// single-tenant set gets the whole capacity, which makes the fleet
-  /// queue behave exactly like the plain AdmissionQueue.
+  /// single-tenant set gets the whole capacity, so the quota never binds
+  /// and the admission queue is the plain bounded deadline queue.
   std::vector<std::size_t> quota_slots(std::size_t capacity) const;
 };
 

@@ -5,11 +5,10 @@
 //     alignment, bump reuse after reset, geometric exhaustion growth, LIFO
 //     mark/release (including the must-unwind contract violation), the
 //     null-arena heap fallback, and the stats counters the bench reads.
-//  2. The determinism pin required by the serving integration: routing the
-//     event loop's per-dispatch scratch through an arena
-//     (ServePolicy::use_arena) is an allocation-strategy switch only — the
-//     serve report and every functional output float must be byte-identical
-//     arena on vs off, across thread-pool sizes.
+//  2. The determinism pin of the serving integration: the event loop's
+//     per-dispatch scratch always goes through an arena, and the serve
+//     report and every functional output float must be byte-identical
+//     across thread-pool sizes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -156,7 +155,7 @@ TEST(Arena, ScopeUnwindsOnExitAndOnThrow) {
   }
   EXPECT_EQ(arena.bytes_in_use(), base_use);
 
-  // A null arena is a valid no-op scope (the use_arena=false path).
+  // A null arena is a valid no-op scope.
   { ArenaScope off(nullptr); }
 }
 
@@ -202,47 +201,41 @@ TEST(Arena, ScratchArenaIsPerThreadAndScoped) {
 
 /// ---- the serving determinism pin (ISSUE satellite) ----
 
-TEST(ArenaServing, ReportsByteIdenticalArenaOnOffAcrossThreads) {
+TEST(ArenaServing, ReportsByteIdenticalAcrossThreads) {
   // serve_online with the arena-backed dispatch scratch must emit the
-  // byte-identical report and identical output feature bits as the heap
-  // path, for every pool size. This is the license for event_loop.cpp to
-  // route QueueEntry/PassSpec staging through the Arena by default.
+  // byte-identical report and identical output feature bits for every
+  // pool size.
   const VitConfig cfg = vit_test_tiny();
   const VitModel model{random_weights(cfg, 42)};
   const AcceleratorSystem sys;
   const ArrivalTrace trace =
       poisson_trace(12, 2500.0, /*seed=*/7, sys.config().pu.freq_hz);
 
-  auto run = [&](bool use_arena, ThreadPool* pool) {
+  auto run = [&](ThreadPool* pool) {
     ServePolicy policy;
     policy.queue_capacity = 8;
     policy.max_batch = 3;
-    policy.use_arena = use_arena;
     return serve_online(model, sys, trace, policy, pool);
   };
 
-  const OnlineServeResult want = run(/*use_arena=*/true, nullptr);
+  const OnlineServeResult want = run(nullptr);
   const std::string want_json = want.report.to_json();
   ASSERT_FALSE(want_json.empty());
 
-  for (const bool use_arena : {true, false}) {
-    for (const int threads : {0, 1, 2, 8}) {
-      ThreadPool pool(threads > 0 ? threads : 1);
-      ThreadPool* p = threads > 0 ? &pool : nullptr;
-      const OnlineServeResult got = run(use_arena, p);
-      ASSERT_EQ(got.report.to_json(), want_json)
-          << "use_arena=" << use_arena << " threads=" << threads;
-      ASSERT_EQ(got.features.size(), want.features.size());
-      for (std::size_t i = 0; i < want.features.size(); ++i) {
-        ASSERT_EQ(got.features[i].size(), want.features[i].size());
-        ASSERT_EQ(0, std::memcmp(got.features[i].data(),
-                                 want.features[i].data(),
-                                 want.features[i].size() * sizeof(float)))
-            << "request " << i << " use_arena=" << use_arena << " threads="
-            << threads;
-      }
-      ASSERT_EQ(got.compute_cycles, want.compute_cycles);
+  for (const int threads : {0, 1, 2, 8}) {
+    ThreadPool pool(threads > 0 ? threads : 1);
+    ThreadPool* p = threads > 0 ? &pool : nullptr;
+    const OnlineServeResult got = run(p);
+    ASSERT_EQ(got.report.to_json(), want_json) << "threads=" << threads;
+    ASSERT_EQ(got.features.size(), want.features.size());
+    for (std::size_t i = 0; i < want.features.size(); ++i) {
+      ASSERT_EQ(got.features[i].size(), want.features[i].size());
+      ASSERT_EQ(0, std::memcmp(got.features[i].data(),
+                               want.features[i].data(),
+                               want.features[i].size() * sizeof(float)))
+          << "request " << i << " threads=" << threads;
     }
+    ASSERT_EQ(got.compute_cycles, want.compute_cycles);
   }
 }
 

@@ -9,7 +9,7 @@
 //  * determinism: fleet reports, scale decisions, tenant breakdowns, and
 //    Chrome traces are bit-identical for any ThreadPool size and across
 //    repeated fixed-seed runs.
-#include "fleet/fleet_loop.hpp"
+#include "serving/event_loop.hpp"
 
 #include <gtest/gtest.h>
 
@@ -17,10 +17,10 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "fleet/admission.hpp"
-#include "fleet/autoscaler.hpp"
-#include "fleet/router.hpp"
-#include "fleet/tenant.hpp"
+#include "serving/admission.hpp"
+#include "serving/autoscaler.hpp"
+#include "serving/router.hpp"
+#include "serving/tenant.hpp"
 #include "runtime/session.hpp"
 #include "serving/metrics.hpp"
 #include "serving/workload.hpp"
@@ -45,6 +45,17 @@ TEST(FleetAdmission, SingleTenantReducesToAdmissionQueue) {
   EXPECT_EQ(q.quota_rejected(), 0u);
   EXPECT_EQ(q.pop().id, 1);
   EXPECT_EQ(q.pop().id, 2);
+
+  // Earliest deadline pops first regardless of push order: on the same
+  // full queue {1, 2}, an urgent newcomer sheds the front and jumps it.
+  FleetAdmissionQueue edf(2, DropPolicy::kShedOldest, {2});
+  EXPECT_TRUE(edf.push({1, 1, 101, 0, 0}).admitted);
+  EXPECT_TRUE(edf.push({2, 2, 102, 0, 0}).admitted);
+  const FleetPushOutcome urgent = edf.push({9, 3, 50, 0, 0});
+  EXPECT_TRUE(urgent.admitted);
+  ASSERT_TRUE(urgent.had_victim);
+  EXPECT_EQ(urgent.victim.id, 1);
+  EXPECT_EQ(edf.pop().id, 9);
 
   FleetAdmissionQueue r(2, DropPolicy::kRejectNewest, {2});
   EXPECT_TRUE(r.push({0, 0, 100, 0, 0}).admitted);
@@ -306,14 +317,20 @@ TEST(FleetRouter, PlacementPrefersCheapestClassThenLowestInstance) {
 }
 
 TEST(FleetRouter, HomogeneousPlacementIsLowestFreeInstance) {
-  // The serve_events executor scan: with one class, the router must pick
-  // the lowest free instance id, every time.
+  // The first-free-executor scan single-card and cluster serving rely on:
+  // with one class, the router must pick the lowest free instance id,
+  // every time, and never a failed one.
   const std::vector<std::vector<PassSpec>> passes = {{{10, 100, 10}}};
   std::vector<ReplicaInstance> reps;
   for (int i = 0; i < 3; ++i) reps.push_back({i, 0, 0, 0, false, 0, 0});
   EXPECT_EQ(pick_replica(reps, passes, 0, 0), 0);
   reps[0].busy_until = 10;
   EXPECT_EQ(pick_replica(reps, passes, 0, 0), 1);
+  reps[1].failed = true;  // dead for good: skipped, even when idle
+  EXPECT_EQ(pick_replica(reps, passes, 0, 0), 2);
+  reps[2].busy_until = 10;
+  EXPECT_EQ(pick_replica(reps, passes, 0, 0), -1);
+  EXPECT_EQ(pick_retire(reps, passes, 0), -1);  // only idle one is dead
 }
 
 TEST(FleetRouter, SpawnAndRetireChoices) {
@@ -359,6 +376,14 @@ TEST(FleetLoop, ValidateRejectsBrokenSpecs) {
   FleetSpec zero_fleet = tiny_fleet_spec(4, 1);
   zero_fleet.classes[0].initial_replicas = 0;
   EXPECT_THROW(serve_fleet(zero_fleet, trace, ServePolicy{}), Error);
+  FleetSpec unknown_replica = tiny_fleet_spec(4, 2);
+  unknown_replica.failures = {{2, 1000}};  // only instances 0 and 1 exist
+  EXPECT_THROW(serve_fleet(unknown_replica, trace, ServePolicy{}), Error);
+  FleetSpec failing_autoscaled = tiny_fleet_spec(4, 2);
+  failing_autoscaled.classes[0].max_replicas = 4;
+  failing_autoscaled.autoscaler.enabled = true;
+  failing_autoscaled.failures = {{0, 1000}};
+  EXPECT_THROW(serve_fleet(failing_autoscaled, trace, ServePolicy{}), Error);
 }
 
 TEST(FleetLoop, SingleTenantReportHasNoTenantSection) {

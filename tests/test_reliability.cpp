@@ -592,28 +592,41 @@ TEST(Degradation, CardFailuresCollapseOntoOwningReplicas) {
 
 // ---- serving failover -----------------------------------------------------
 
-/// Synthetic backend: `n` identical executors, every request costs the
-/// same pass. Lets the failover logic be tested in isolation from the
-/// transformer model.
-BackendSpec uniform_backend(int executors, int requests,
-                            std::uint64_t cycles) {
-  BackendSpec b;
-  b.executors = executors;
-  b.freq_hz = 300.0e6;
-  b.passes.assign(static_cast<std::size_t>(requests),
-                  PassSpec{cycles / 10, cycles, cycles / 10});
-  return b;
+/// FNV-1a over a report's JSON: a compact golden pin for a whole run.
+std::uint64_t fnv1a_bytes(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Synthetic one-class pool: `executors` identical replicas, every request
+/// costs the same pass. Lets the failover logic be tested in isolation
+/// from the transformer model.
+FleetSpec uniform_pool(int executors, int requests, std::uint64_t cycles) {
+  FleetSpec spec;
+  spec.freq_hz = 300.0e6;
+  spec.replica_prefix = "unit";
+  ReplicaClassSpec cls;
+  cls.passes.assign(static_cast<std::size_t>(requests),
+                    PassSpec{cycles / 10, cycles, cycles / 10});
+  cls.initial_replicas = executors;
+  cls.max_replicas = executors;
+  spec.classes = {cls};
+  return spec;
 }
 
 TEST(ServeFailover, DeadExecutorRequeuesInflightAndCompletesEverything) {
   const int requests = 24;
-  BackendSpec backend = uniform_backend(2, requests, 30000);
+  FleetSpec pool = uniform_pool(2, requests, 30000);
   const ArrivalTrace trace = poisson_trace(requests, 8000.0, 5);
   ServePolicy policy;
   policy.queue_capacity = 64;
   policy.slo_ms = 50.0;
 
-  const ServeReport healthy = serve_events(backend, trace, policy);
+  const ServeReport healthy = serve_fleet(pool, trace, policy).serve;
   ASSERT_EQ(healthy.records.size(), static_cast<std::size_t>(requests));
   const auto healthy_counters = healthy.counters.snapshot();
   EXPECT_EQ(healthy_counters.count("serve.executor_failures"), 0u);
@@ -629,8 +642,8 @@ TEST(ServeFailover, DeadExecutorRequeuesInflightAndCompletesEverything) {
     }
   }
   ASSERT_GT(fail_cycle, 0u);
-  backend.failures = {{0, fail_cycle}};
-  const ServeReport rep = serve_events(backend, trace, policy);
+  pool.failures = {{0, fail_cycle}};
+  const ServeReport rep = serve_fleet(pool, trace, policy).serve;
   EXPECT_EQ(rep.records.size() + rep.rejected_ids.size(),
             static_cast<std::size_t>(requests));
   EXPECT_EQ(rep.records.size(), static_cast<std::size_t>(requests));
@@ -643,18 +656,20 @@ TEST(ServeFailover, DeadExecutorRequeuesInflightAndCompletesEverything) {
 
   // Determinism: the failure schedule is part of the spec, so the report
   // replays bit-identically.
-  const ServeReport again = serve_events(backend, trace, policy);
+  const ServeReport again = serve_fleet(pool, trace, policy).serve;
   EXPECT_EQ(again.to_json(), rep.to_json());
+  // Golden pin, captured once and never regenerated.
+  EXPECT_EQ(fnv1a_bytes(rep.to_json()), 0x70f5eca4aa591aaeULL);
 }
 
 TEST(ServeFailover, AllExecutorsDeadStrandsQueuedRequests) {
   const int requests = 8;
-  BackendSpec backend = uniform_backend(1, requests, 30000);
-  backend.failures = {{0, 35000}};  // dies after roughly one service pass
+  FleetSpec pool = uniform_pool(1, requests, 30000);
+  pool.failures = {{0, 35000}};  // dies after roughly one service pass
   ServePolicy policy;
   policy.max_retries = 2;
   const ArrivalTrace trace = poisson_trace(requests, 50000.0, 5);
-  const ServeReport rep = serve_events(backend, trace, policy);
+  const ServeReport rep = serve_fleet(pool, trace, policy).serve;
   // With the only executor dead, whatever was admitted but unserved is
   // reported: completed + rejected + failed + stranded covers every id.
   const auto counters = rep.counters.snapshot();
@@ -667,6 +682,8 @@ TEST(ServeFailover, AllExecutorsDeadStrandsQueuedRequests) {
   EXPECT_EQ(rep.records.size() + rep.rejected_ids.size() + failed + stranded,
             static_cast<std::size_t>(requests));
   EXPECT_LT(rep.records.size(), static_cast<std::size_t>(requests));
+  // Golden pin, captured once and never regenerated.
+  EXPECT_EQ(fnv1a_bytes(rep.to_json()), 0x2a0994953fbbe7d4ULL);
 }
 
 TEST(ClusterFailover, DeadCardFailsOverToSurvivingReplica) {
@@ -682,6 +699,9 @@ TEST(ClusterFailover, DeadCardFailsOverToSurvivingReplica) {
   const ClusterServeResult healthy =
       serve_cluster(exec, 2, trace, policy, &pool);
   ASSERT_EQ(healthy.report.records.size(), 10u);
+  // Golden pins (healthy and failed-over), captured once and never
+  // regenerated.
+  EXPECT_EQ(fnv1a_bytes(healthy.report.to_json()), 0x5123d965ad336aeaULL);
 
   // Card 1 belongs to replica 0 (cards 0-1); kill it mid-run. The replica
   // dies with it and all ten requests still complete on replica 1.
@@ -693,6 +713,7 @@ TEST(ClusterFailover, DeadCardFailsOverToSurvivingReplica) {
   const auto counters = rep.report.counters.snapshot();
   EXPECT_EQ(counters.at("cluster.card_failures"), 1u);
   EXPECT_EQ(counters.at("serve.executor_failures"), 1u);
+  EXPECT_EQ(fnv1a_bytes(rep.report.to_json()), 0x7c914c0593a319e4ULL);
 
   // Functional outputs are from phase 1 and unaffected by the failover.
   ASSERT_EQ(rep.features.size(), healthy.features.size());

@@ -12,7 +12,6 @@
 #include "common/error.hpp"
 #include "runtime/session.hpp"
 #include "serving/metrics.hpp"
-#include "serving/queue.hpp"
 #include "serving/workload.hpp"
 
 namespace bfpsim {
@@ -39,6 +38,16 @@ Probe probe_capacity(const VitModel& model, const AcceleratorSystem& sys,
                    sys.config().pu.freq_hz /
                    static_cast<double>(p.cycles);
   return p;
+}
+
+/// FNV-1a over a report's JSON: a compact golden pin for a whole run.
+std::uint64_t fnv1a_bytes(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
 }
 
 TEST(ServingMetrics, NearestRankPercentiles) {
@@ -97,32 +106,6 @@ TEST(ServingWorkload, ClosedLoopTraceShape) {
   EXPECT_EQ(t.think_cycles,
             static_cast<std::uint64_t>(0.5e-3 * kDefaultFreqHz));
   EXPECT_THROW(closed_loop_trace(8, 4, 0.5, 3), Error);
-}
-
-TEST(ServingQueue, RejectNewestAndShedOldest) {
-  QueueEntry victim;
-  bool had_victim = false;
-  AdmissionQueue reject(2, DropPolicy::kRejectNewest);
-  EXPECT_TRUE(reject.push({0, 0, 100}, &victim, &had_victim));
-  EXPECT_TRUE(reject.push({1, 1, 101}, &victim, &had_victim));
-  EXPECT_FALSE(reject.push({2, 2, 102}, &victim, &had_victim));
-  EXPECT_FALSE(had_victim);
-  EXPECT_EQ(reject.rejected(), 1u);
-  EXPECT_EQ(reject.size(), 2u);
-  EXPECT_EQ(reject.front().id, 0);
-
-  AdmissionQueue shed(2, DropPolicy::kShedOldest);
-  EXPECT_TRUE(shed.push({0, 0, 100}, &victim, &had_victim));
-  EXPECT_TRUE(shed.push({1, 1, 101}, &victim, &had_victim));
-  EXPECT_TRUE(shed.push({2, 2, 102}, &victim, &had_victim));
-  EXPECT_TRUE(had_victim);
-  EXPECT_EQ(victim.id, 0);
-  EXPECT_EQ(shed.shed(), 1u);
-  EXPECT_EQ(shed.front().id, 1);
-  // Earliest deadline pops first regardless of push order.
-  EXPECT_TRUE(shed.push({9, 3, 50}, &victim, &had_victim));
-  EXPECT_EQ(victim.id, 1);
-  EXPECT_EQ(shed.pop().id, 9);
 }
 
 // The acceptance-criteria test: same seed + policy produces bit-identical
@@ -264,6 +247,38 @@ TEST(ServingOnline, ClosedLoopDepthBoundedByClients) {
   EXPECT_EQ(rep.records.size(), 12u) << "closed loop completes every request";
   EXPECT_TRUE(rep.rejected_ids.empty());
   EXPECT_LE(rep.max_queue_depth, static_cast<std::size_t>(clients));
+}
+
+// Golden pins: the whole ServeReport JSON of the three admission regimes
+// (reject-newest and shed-oldest under 20x overload, closed loop) on the
+// default 15-unit system. Captured once and never regenerated: any change
+// to the event loop's bookkeeping shows up here.
+TEST(ServingOnline, GoldenReportDigests) {
+  const VitConfig cfg = vit_test_tiny();
+  const VitModel model{random_weights(cfg, 42)};
+  const AcceleratorSystem sys;
+  const Probe probe = probe_capacity(model, sys, 1);
+  const double freq = sys.config().pu.freq_hz;
+
+  const ArrivalTrace overload =
+      poisson_trace(40, 20.0 * probe.capacity_rps, 5, freq);
+  ServePolicy policy;
+  policy.queue_capacity = 4;
+  policy.max_batch = 2;
+  policy.slo_ms = 2.0;
+  const OnlineServeResult reject = serve_online(model, sys, overload, policy);
+  EXPECT_EQ(fnv1a_bytes(reject.report.to_json()), 0xb7c36d41bcb3f8faULL);
+
+  policy.drop_policy = DropPolicy::kShedOldest;
+  const OnlineServeResult shed = serve_online(model, sys, overload, policy);
+  EXPECT_EQ(fnv1a_bytes(shed.report.to_json()), 0xf1888ec7aad0af10ULL);
+
+  ServePolicy closed_policy;
+  closed_policy.queue_capacity = 16;
+  closed_policy.max_batch = 2;
+  const OnlineServeResult closed = serve_online(
+      model, sys, closed_loop_trace(3, 12, 0.2, 9, freq), closed_policy);
+  EXPECT_EQ(fnv1a_bytes(closed.report.to_json()), 0x2dc7d6568e32b974ULL);
 }
 
 TEST(ServingOnline, RecordsRespectPolicyAndSloAccounting) {

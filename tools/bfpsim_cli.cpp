@@ -32,8 +32,6 @@
 #include "compiler/spec_graph.hpp"
 #include "compiler/spec_registry.hpp"
 #include "runtime/decode_serve.hpp"
-#include "fleet/fleet_loop.hpp"
-#include "fleet/tenant.hpp"
 #include "runtime/session.hpp"
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
@@ -47,6 +45,7 @@
 #include "reliability/abft.hpp"
 #include "resource/designs.hpp"
 #include "serving/event_loop.hpp"
+#include "serving/tenant.hpp"
 #include "transformer/latency.hpp"
 #include "transformer/serving.hpp"
 

@@ -295,7 +295,7 @@ const std::vector<std::string>& module_ladder() {
       "common",  "numerics", "numerics.format", "sim", "reliability",
       "dsp",     "bram",
       "pu",      "fabric",   "isa", "resource",
-      "transformer", "serving", "cluster", "fleet", "compiler", "runtime",
+      "transformer", "serving", "cluster", "compiler", "runtime",
       "core",
   };
   return kLadder;
@@ -332,7 +332,7 @@ void apply_path_tags(FileReport& fr) {
   // Timing-critical: anything whose iteration order or host behaviour can
   // leak into cycle accounting or the serving/cluster event loops.
   if (under("src/sim/") || under("src/serving/") || under("src/cluster/") ||
-      under("src/fleet/") || under("src/fabric/")) {
+      under("src/fabric/")) {
     fr.tags.insert("timing");
   }
   // Bit-exact integer datapath: the golden numerics, the cycle-accurate PU,
@@ -342,13 +342,11 @@ void apply_path_tags(FileReport& fr) {
       rel.rfind("src/reliability/abft", 0) == 0) {
     fr.tags.insert("bit-exact");
   }
-  // Serving/cluster/fleet files are parallel-phase by default; only the
-  // serial event-loop owners may mutate report counters.
-  if (under("src/serving/") || under("src/cluster/") ||
-      under("src/fleet/")) {
+  // Serving/cluster files are parallel-phase by default; only the serial
+  // event-loop owners may mutate report counters.
+  if (under("src/serving/") || under("src/cluster/")) {
     const bool serial_owner = rel == "src/serving/event_loop.cpp" ||
-                              rel == "src/cluster/cluster_serving.cpp" ||
-                              rel == "src/fleet/fleet_loop.cpp";
+                              rel == "src/cluster/cluster_serving.cpp";
     fr.tags.insert(serial_owner ? "serial-phase" : "parallel-phase");
   }
   // The one sanctioned RNG implementation.
