@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "numerics/slices.hpp"
-#include "sim/clock.hpp"
 
 namespace bfpsim {
 
@@ -368,7 +367,8 @@ StreamTiming ClusterExecutor::assemble_timing(
   timing.requests_per_second =
       timing.makespan_cycles == 0
           ? 0.0
-          : static_cast<double>(per_request.size()) * kDefaultFreqHz /
+          : static_cast<double>(per_request.size()) *
+                topo_.card_config().pu.freq_hz /
                 static_cast<double>(timing.makespan_cycles);
   timing.card_utilization.resize(static_cast<std::size_t>(cards), 0.0);
   for (int c = 0; c < cards; ++c) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "cluster/cluster_serving.hpp"
 #include "cluster/collectives.hpp"
@@ -340,6 +341,65 @@ TEST(ClusterExecutor, TensorCardsChargeSymmetrically) {
   EXPECT_EQ(stats.compute_cycles, stats.card_compute_cycles[0]);
 }
 
+// ---- executor: parent-captured goldens ------------------------------------
+
+// Golden pins for the tensor strategy: every ClusterStats field plus an
+// FNV-1a digest of the output bits, captured from the dedicated
+// tensor-parallel forward before it was folded into the shared encoder
+// block walk. Never regenerate these values.
+std::uint64_t fnv1a_bits(const std::vector<float>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const float f : v) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &f, sizeof bits);
+    for (int i = 0; i < 4; ++i) {
+      h ^= (bits >> (8 * i)) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+struct TensorGolden {
+  int heads = 0;
+  int cards = 0;
+  std::vector<std::uint64_t> card_compute_cycles;
+  std::uint64_t compute_cycles = 0;
+  std::uint64_t collective_cycles = 0;
+  std::uint64_t collective_bytes = 0;
+  std::uint64_t bfp_macs = 0;
+  std::uint64_t digest = 0;
+};
+
+TEST(ClusterExecutor, TensorGoldenStatsAndDigests) {
+  const TensorGolden goldens[] = {
+      {2, 2, {20976, 20976}, 20976, 6288, 60928, 1745152,
+       0x830aed9edd948a96ULL},
+      {4, 2, {23892, 23892}, 23892, 6288, 60928, 1745152,
+       0xd1f2fdaf35353b4dULL},
+      {4, 4, {18152, 18152, 18152, 18152}, 18152, 15816, 182784, 1745152,
+       0xd1f2fdaf35353b4dULL},
+  };
+  for (const TensorGolden& g : goldens) {
+    SCOPED_TRACE("heads=" + std::to_string(g.heads) +
+                 " cards=" + std::to_string(g.cards));
+    VitConfig cfg = tp2_config();
+    cfg.num_heads = g.heads;
+    const ClusterExecutor exec(random_weights(cfg, 37),
+                               ClusterTopology::ring(g.cards),
+                               PartitionStrategy::kTensor);
+    ClusterStats s;
+    const std::vector<float> out = exec.forward(random_embeddings(cfg, 41), &s);
+    EXPECT_EQ(s.card_compute_cycles, g.card_compute_cycles);
+    EXPECT_TRUE(s.stage_send_cycles.empty());
+    EXPECT_EQ(s.compute_cycles, g.compute_cycles);
+    EXPECT_EQ(s.collective_cycles, g.collective_cycles);
+    EXPECT_EQ(s.collective_bytes, g.collective_bytes);
+    EXPECT_EQ(s.bfp_macs, g.bfp_macs);
+    EXPECT_EQ(fnv1a_bits(out), g.digest);
+  }
+}
+
 // ---- executor: stream timing ----------------------------------------------
 
 TEST(ClusterExecutor, SingleRequestStreamMatchesRequestLatency) {
@@ -352,6 +412,23 @@ TEST(ClusterExecutor, SingleRequestStreamMatchesRequestLatency) {
   const StreamTiming t = exec.project_stream(stats, 1);
   EXPECT_EQ(t.makespan_cycles, stats.total_cycles());
   EXPECT_EQ(t.request_cycles, stats.total_cycles());
+}
+
+TEST(ClusterExecutor, StreamThroughputUsesCardFrequency) {
+  // requests_per_second converts the makespan at the card's own fabric
+  // clock, not at the default 300 MHz.
+  const VitConfig cfg = tp2_config();
+  SystemConfig card;
+  card.pu.freq_hz = 200.0e6;
+  const ClusterExecutor exec(random_weights(cfg, 23),
+                             ClusterTopology::ring(2, LinkConfig{}, card),
+                             PartitionStrategy::kTensor);
+  ClusterStats stats;
+  (void)exec.forward(random_embeddings(cfg, 1), &stats);
+  const StreamTiming t = exec.project_stream(stats, 4);
+  ASSERT_GT(t.makespan_cycles, 0u);
+  EXPECT_DOUBLE_EQ(t.requests_per_second,
+                   4.0 * 200.0e6 / static_cast<double>(t.makespan_cycles));
 }
 
 TEST(ClusterExecutor, TwoCardPipelinePrefillSpeedupAtLeast1p6x) {

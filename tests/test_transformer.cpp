@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "common/stats.hpp"
 #include "transformer/latency.hpp"
 
@@ -162,6 +165,66 @@ TEST(VitModel, PrecisionPolicyControlsQuantization) {
   model.forward_mixed(x, sys, &part_stats, mlp_only);
   EXPECT_GT(part_stats.bfp_macs, 0u);
   EXPECT_LT(part_stats.bfp_macs, all_stats.bfp_macs);
+}
+
+// Golden pins for the single-card forwards on vit_test_tiny: every
+// ForwardStats field plus an FNV-1a digest of the output bits for three
+// precision policies, and the output digests of the reference and int8
+// forwards. Captured before the encoder block was rewritten as one
+// column-shard walk; never regenerate these values.
+std::uint64_t fnv1a_bits(const std::vector<float>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const float f : v) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &f, sizeof bits);
+    for (int i = 0; i < 4; ++i) {
+      h ^= (bits >> (8 * i)) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(VitModel, ForwardGoldenStatsAndDigests) {
+  struct Golden {
+    const char* name;
+    PrecisionPolicy policy;
+    std::uint64_t bfp_macs, linear_cycles, vector_cycles;
+    std::uint64_t fp_mul, fp_add, exp_manip, host_div, host_other;
+    std::uint64_t digest;
+  };
+  const PrecisionPolicy mixed{true, false, true, false};
+  const Golden goldens[] = {
+      {"all_bfp8", PrecisionPolicy::all_bfp8(), 1745152, 6440, 23100, 185504,
+       179996, 0, 136, 12172, 0x44c32920c95cd01aULL},
+      {"all_fp32", PrecisionPolicy::all_fp32(), 0, 0, 23100, 185504, 179996,
+       0, 136, 12172, 0x143a2fbef5246f79ULL},
+      {"qkv+proj", mixed, 557056, 1472, 23100, 185504, 179996, 0, 136, 12172,
+       0x942ab5f897baca31ULL},
+  };
+  const VitConfig cfg = vit_test_tiny();
+  const VitModel model(random_weights(cfg, 47));
+  const AcceleratorSystem sys;
+  const auto x = random_embeddings(cfg, 53);
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.name);
+    ForwardStats s;
+    const auto out = model.forward_mixed(x, sys, &s, g.policy);
+    EXPECT_EQ(s.bfp_macs, g.bfp_macs);
+    EXPECT_EQ(s.linear_cycles, g.linear_cycles);
+    EXPECT_EQ(s.vector_cycles, g.vector_cycles);
+    EXPECT_EQ(s.nonlinear_ops.fp_mul, g.fp_mul);
+    EXPECT_EQ(s.nonlinear_ops.fp_add, g.fp_add);
+    EXPECT_EQ(s.nonlinear_ops.exp_manip, g.exp_manip);
+    EXPECT_EQ(s.nonlinear_ops.host_div, g.host_div);
+    EXPECT_EQ(s.nonlinear_ops.host_other, g.host_other);
+    EXPECT_EQ(fnv1a_bits(out), g.digest);
+    // Stats are optional and never feed back into the numerics.
+    EXPECT_EQ(fnv1a_bits(model.forward_mixed(x, sys, nullptr, g.policy)),
+              g.digest);
+  }
+  EXPECT_EQ(fnv1a_bits(model.forward_reference(x)), 0x255b60bc4cf38aa7ULL);
+  EXPECT_EQ(fnv1a_bits(model.forward_int8(x)), 0xd69122710e3196b7ULL);
 }
 
 TEST(VitModel, Int8ForwardRunsAndIsWorseThanMixed) {
