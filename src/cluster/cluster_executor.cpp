@@ -1,34 +1,15 @@
 #include "cluster/cluster_executor.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
-#include "numerics/slices.hpp"
 
 namespace bfpsim {
-
-namespace {
-
-std::vector<float> transpose(const std::vector<float>& a, int rows,
-                             int cols) {
-  std::vector<float> t(a.size());
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      t[static_cast<std::size_t>(c) * rows + r] =
-          a[static_cast<std::size_t>(r) * cols + c];
-    }
-  }
-  return t;
-}
-
-}  // namespace
 
 ClusterExecutor::ClusterExecutor(const VitWeights& weights,
                                  ClusterTopology topology,
                                  PartitionStrategy strategy)
-    : weights_(weights),
-      topo_(std::move(topology)),
+    : topo_(std::move(topology)),
       plan_(partition_model(weights, strategy, topo_.num_cards())) {
   topo_.validate();
   if (plan_.strategy == PartitionStrategy::kPipeline) {
@@ -42,253 +23,62 @@ ClusterExecutor::ClusterExecutor(const VitWeights& weights,
 std::vector<float> ClusterExecutor::forward(std::vector<float> x,
                                             ClusterStats* stats,
                                             ThreadPool* pool) const {
-  return plan_.strategy == PartitionStrategy::kPipeline
-             ? forward_pipeline(std::move(x), stats, pool)
-             : forward_tensor(std::move(x), stats, pool);
-}
-
-std::vector<float> ClusterExecutor::forward_pipeline(std::vector<float> x,
-                                                     ClusterStats* stats,
-                                                     ThreadPool* pool) const {
-  // Chaining the stage sub-models block-by-block is the single-card loop
-  // with the same state tensor carried across — bit-identical output.
   AcceleratorSystem sys(topo_.card_config());
   sys.set_thread_pool(pool);
   ClusterStats local;
-  local.card_compute_cycles.resize(plan_.cards, 0);
-  for (int c = 0; c < plan_.cards; ++c) {
-    ForwardStats fstats;
-    x = stage_models_[static_cast<std::size_t>(c)].forward_mixed(
-        std::move(x), sys, &fstats);
-    local.card_compute_cycles[static_cast<std::size_t>(c)] =
-        fstats.total_cycles();
-    local.compute_cycles += fstats.total_cycles();
-    local.bfp_macs += fstats.bfp_macs;
-    if (c + 1 < plan_.cards) {
-      const std::uint64_t send =
-          topo_.p2p_cycles(c, c + 1, plan_.boundary_bytes);
-      local.stage_send_cycles.push_back(send);
-      local.collective_cycles += send;
-      local.collective_bytes += plan_.boundary_bytes;
+  if (plan_.strategy == PartitionStrategy::kPipeline) {
+    // Chaining the stage sub-models block-by-block is the single-card loop
+    // with the same state tensor carried across — bit-identical output.
+    for (int c = 0; c < plan_.cards; ++c) {
+      ForwardStats fstats;
+      x = stage_models_[static_cast<std::size_t>(c)].forward_mixed(
+          std::move(x), sys, &fstats);
+      local.card_compute_cycles.push_back(fstats.total_cycles());
+      local.compute_cycles += fstats.total_cycles();
+      local.bfp_macs += fstats.bfp_macs;
+      if (c + 1 < plan_.cards) {
+        const std::uint64_t send =
+            topo_.p2p_cycles(c, c + 1, plan_.boundary_bytes);
+        local.stage_send_cycles.push_back(send);
+        local.collective_cycles += send;
+        local.collective_bytes += plan_.boundary_bytes;
+      }
+    }
+  } else {
+    // Every card runs the shared encoder-block walk on its column shard.
+    std::vector<std::span<const BlockWeights>> shards;
+    for (const TensorShard& shard : plan_.shards) {
+      shards.emplace_back(shard.blocks);
+    }
+    std::vector<ForwardStats> card_stats(shards.size());
+    x = forward_column_shards(plan_.cfg, shards, std::move(x), sys,
+                              card_stats);
+    for (const ForwardStats& f : card_stats) {
+      local.card_compute_cycles.push_back(f.total_cycles());
+      local.bfp_macs += f.bfp_macs;
+    }
+    // Cards run concurrently: the critical path is the slowest card (all
+    // equal by symmetry, but max() keeps the invariant explicit).
+    local.compute_cycles = *std::max_element(
+        local.card_compute_cycles.begin(), local.card_compute_cycles.end());
+    // Per block, ring all-gathers reassemble attn_out, the proj output and
+    // the fc2 output (t x d each) and the MLP activations (t x m) from the
+    // cards' column shards.
+    const auto n = static_cast<std::uint64_t>(plan_.cards);
+    auto all_gather = [&](std::uint64_t bytes) {
+      local.collective_cycles += topo_.all_gather_cycles(bytes);
+      if (n > 1) local.collective_bytes += (n - 1) * ((bytes + n - 1) / n) * n;
+    };
+    const auto t = static_cast<std::uint64_t>(plan_.cfg.tokens());
+    for (int blk = 0; blk < plan_.cfg.depth; ++blk) {
+      for (int i = 0; i < 3; ++i) {
+        all_gather(t * static_cast<std::uint64_t>(plan_.cfg.embed_dim) *
+                   sizeof(float));
+      }
+      all_gather(t * static_cast<std::uint64_t>(plan_.cfg.mlp_hidden()) *
+                 sizeof(float));
     }
   }
-  if (stats != nullptr) *stats = std::move(local);
-  return x;
-}
-
-std::vector<float> ClusterExecutor::forward_tensor(std::vector<float> x,
-                                                   ClusterStats* stats,
-                                                   ThreadPool* pool) const {
-  const VitConfig& cfg = weights_.cfg;
-  const int t = cfg.tokens();
-  const int d = cfg.embed_dim;
-  const int hd = cfg.head_dim();
-  const int m = cfg.mlp_hidden();
-  const int cards = plan_.cards;
-  const int dc = d / cards;
-  const int mc = m / cards;
-  BFP_REQUIRE(x.size() == static_cast<std::size_t>(t) * d,
-              "ClusterExecutor::forward: input must be tokens x embed_dim");
-  const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
-
-  AcceleratorSystem sys(topo_.card_config());
-  sys.set_thread_pool(pool);
-
-  ClusterStats local;
-  local.card_compute_cycles.resize(static_cast<std::size_t>(cards), 0);
-
-  auto charge_card = [&](int c, std::uint64_t cycles) {
-    local.card_compute_cycles[static_cast<std::size_t>(c)] += cycles;
-  };
-  // LayerNorm, residuals and other full-tensor ops run replicated: every
-  // card executes them on its own copy of the activation stream.
-  auto charge_all = [&](std::uint64_t cycles) {
-    for (int c = 0; c < cards; ++c) charge_card(c, cycles);
-  };
-  auto vec_cycles = [&](const OpCounter& ops) {
-    return sys.vector_latency(ops.fp_mul, ops.fp_add).cycles;
-  };
-  // All-gather card-order column shards (rows x width each) back into a
-  // row-major rows x (width*cards) matrix, charging the ring schedule.
-  auto gather_cols = [&](const std::vector<std::vector<float>>& shards,
-                         int rows, int width) {
-    std::vector<float> out(static_cast<std::size_t>(rows) * width * cards);
-    for (int c = 0; c < cards; ++c) {
-      for (int r = 0; r < rows; ++r) {
-        for (int cc = 0; cc < width; ++cc) {
-          out[(static_cast<std::size_t>(r) * cards + c) * width + cc] =
-              shards[static_cast<std::size_t>(c)]
-                    [static_cast<std::size_t>(r) * width + cc];
-        }
-      }
-    }
-    const std::uint64_t bytes = static_cast<std::uint64_t>(rows) * width *
-                                static_cast<std::uint64_t>(cards) *
-                                sizeof(float);
-    local.collective_cycles += topo_.all_gather_cycles(bytes);
-    if (cards > 1) {
-      const auto n = static_cast<std::uint64_t>(cards);
-      local.collective_bytes += (n - 1) * ((bytes + n - 1) / n) * n;
-    }
-    return out;
-  };
-  auto gemm_on = [&](int card, const std::vector<float>& a, int mm, int kk,
-                     const std::vector<float>& b, int nn) {
-    GemmRun run = sys.gemm(a, mm, kk, b, nn);
-    local.bfp_macs += run.macs;
-    charge_card(card, run.compute_cycles);
-    return std::move(run.c);
-  };
-
-  for (int blk = 0; blk < cfg.depth; ++blk) {
-    const BlockWeights& bw = weights_.blocks[static_cast<std::size_t>(blk)];
-
-    // ---- attention ----
-    OpCounter ln_ops;
-    const auto ln1 = approx_layernorm(x, t, d, bw.ln1_gamma, bw.ln1_beta,
-                                      &ln_ops);
-    charge_all(vec_cycles(ln_ops));
-
-    std::vector<std::vector<float>> attn_shards(
-        static_cast<std::size_t>(cards));
-    for (int c = 0; c < cards; ++c) {
-      const TensorShard& shard = plan_.shards[static_cast<std::size_t>(c)];
-      const TensorBlockShard& s =
-          shard.blocks[static_cast<std::size_t>(blk)];
-      // Card-local QKV columns [Q_c | K_c | V_c] + bias slice.
-      auto qkv = gemm_on(c, ln1, t, d, s.qkv_w, 3 * dc);
-      for (int r = 0; r < t; ++r) {
-        for (int cc = 0; cc < 3 * dc; ++cc) {
-          auto& v = qkv[static_cast<std::size_t>(r) * 3 * dc + cc];
-          v = fp32_add_aligned(v, s.qkv_b[static_cast<std::size_t>(cc)]);
-        }
-      }
-      charge_card(c, sys.vector_latency(
-                         0, static_cast<std::uint64_t>(t) * 3 * dc)
-                         .cycles);
-
-      // Per-head attention stays card-local: the card owns every Q/K/V
-      // column its heads need.
-      auto& attn = attn_shards[static_cast<std::size_t>(c)];
-      attn.resize(static_cast<std::size_t>(t) * dc);
-      for (int lh = 0; lh < shard.head_end - shard.head_begin; ++lh) {
-        std::vector<float> q(static_cast<std::size_t>(t) * hd);
-        std::vector<float> kk(static_cast<std::size_t>(t) * hd);
-        std::vector<float> v(static_cast<std::size_t>(t) * hd);
-        for (int r = 0; r < t; ++r) {
-          for (int cc = 0; cc < hd; ++cc) {
-            const std::size_t base = static_cast<std::size_t>(r) * 3 * dc;
-            q[static_cast<std::size_t>(r) * hd + cc] =
-                qkv[base + static_cast<std::size_t>(lh * hd + cc)];
-            kk[static_cast<std::size_t>(r) * hd + cc] =
-                qkv[base + static_cast<std::size_t>(dc + lh * hd + cc)];
-            v[static_cast<std::size_t>(r) * hd + cc] =
-                qkv[base + static_cast<std::size_t>(2 * dc + lh * hd + cc)];
-          }
-        }
-        auto scores = gemm_on(c, q, t, hd, transpose(kk, t, hd), t);
-        for (auto& s2 : scores) s2 = fp32_mul_sliced(s2, scale);
-        charge_card(c, sys.vector_latency(scores.size(), 0).cycles);
-        OpCounter sm_ops;
-        const auto probs = approx_softmax(scores, t, t, &sm_ops);
-        charge_card(c, vec_cycles(sm_ops));
-        const auto ctx = gemm_on(c, probs, t, t, v, hd);
-        for (int r = 0; r < t; ++r) {
-          for (int cc = 0; cc < hd; ++cc) {
-            attn[static_cast<std::size_t>(r) * dc + lh * hd + cc] =
-                ctx[static_cast<std::size_t>(r) * hd + cc];
-          }
-        }
-      }
-    }
-    const auto attn_out = gather_cols(attn_shards, t, dc);
-
-    std::vector<std::vector<float>> proj_shards(
-        static_cast<std::size_t>(cards));
-    for (int c = 0; c < cards; ++c) {
-      const TensorBlockShard& s =
-          plan_.shards[static_cast<std::size_t>(c)]
-              .blocks[static_cast<std::size_t>(blk)];
-      auto proj = gemm_on(c, attn_out, t, d, s.proj_w, dc);
-      const int col0 = c * dc;
-      for (int r = 0; r < t; ++r) {
-        for (int cc = 0; cc < dc; ++cc) {
-          auto& v = proj[static_cast<std::size_t>(r) * dc + cc];
-          v = fp32_add_aligned(
-              v, bw.proj_b[static_cast<std::size_t>(col0 + cc)]);
-        }
-      }
-      charge_card(
-          c, sys.vector_latency(0, static_cast<std::uint64_t>(t) * dc)
-                 .cycles);
-      proj_shards[static_cast<std::size_t>(c)] = std::move(proj);
-    }
-    const auto proj = gather_cols(proj_shards, t, dc);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      x[i] = fp32_add_aligned(x[i], proj[i]);
-    }
-    charge_all(sys.vector_latency(0, x.size()).cycles);
-
-    // ---- MLP ----
-    OpCounter ln2_ops;
-    const auto ln2 = approx_layernorm(x, t, d, bw.ln2_gamma, bw.ln2_beta,
-                                      &ln2_ops);
-    charge_all(vec_cycles(ln2_ops));
-
-    std::vector<std::vector<float>> act_shards(
-        static_cast<std::size_t>(cards));
-    for (int c = 0; c < cards; ++c) {
-      const TensorBlockShard& s =
-          plan_.shards[static_cast<std::size_t>(c)]
-              .blocks[static_cast<std::size_t>(blk)];
-      auto hdn = gemm_on(c, ln2, t, d, s.fc1_w, mc);
-      for (int r = 0; r < t; ++r) {
-        for (int cc = 0; cc < mc; ++cc) {
-          auto& v = hdn[static_cast<std::size_t>(r) * mc + cc];
-          v = fp32_add_aligned(v, s.fc1_b[static_cast<std::size_t>(cc)]);
-        }
-      }
-      charge_card(
-          c, sys.vector_latency(0, static_cast<std::uint64_t>(t) * mc)
-                 .cycles);
-      OpCounter gelu_ops;
-      act_shards[static_cast<std::size_t>(c)] =
-          approx_gelu(std::span<const float>(hdn), &gelu_ops);
-      charge_card(c, vec_cycles(gelu_ops));
-    }
-    const auto act = gather_cols(act_shards, t, mc);
-
-    std::vector<std::vector<float>> out_shards(
-        static_cast<std::size_t>(cards));
-    for (int c = 0; c < cards; ++c) {
-      const TensorBlockShard& s =
-          plan_.shards[static_cast<std::size_t>(c)]
-              .blocks[static_cast<std::size_t>(blk)];
-      auto out = gemm_on(c, act, t, m, s.fc2_w, dc);
-      const int col0 = c * dc;
-      for (int r = 0; r < t; ++r) {
-        for (int cc = 0; cc < dc; ++cc) {
-          auto& v = out[static_cast<std::size_t>(r) * dc + cc];
-          v = fp32_add_aligned(
-              v, bw.fc2_b[static_cast<std::size_t>(col0 + cc)]);
-        }
-      }
-      charge_card(
-          c, sys.vector_latency(0, static_cast<std::uint64_t>(t) * dc)
-                 .cycles);
-      out_shards[static_cast<std::size_t>(c)] = std::move(out);
-    }
-    const auto out = gather_cols(out_shards, t, dc);
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      x[i] = fp32_add_aligned(x[i], out[i]);
-    }
-    charge_all(sys.vector_latency(0, x.size()).cycles);
-  }
-
-  // Cards run concurrently: the critical path is the slowest card (all
-  // equal by symmetry, but max() keeps the invariant explicit).
-  local.compute_cycles = *std::max_element(
-      local.card_compute_cycles.begin(), local.card_compute_cycles.end());
   if (stats != nullptr) *stats = std::move(local);
   return x;
 }

@@ -4,8 +4,11 @@
 //
 //  * functional — `forward` runs the sharded mixed bfp8/fp32 forward and
 //    returns features that are bit-identical to the single-card
-//    VitModel::forward_mixed for the same input (the partitioner's
-//    column-split / all-gather discipline guarantees this; tests pin it);
+//    VitModel::forward_mixed for the same input. Pipeline chains each
+//    stage's forward_mixed; tensor runs forward_column_shards, the
+//    encoder-block walk forward_mixed itself runs, over the cards' column
+//    shards (the partitioner's column-split / all-gather discipline
+//    guarantees the bits; tests pin it);
 //
 //  * timing — per-card compute cycles come from each card's
 //    AcceleratorSystem latency model applied to that card's slice shapes,
@@ -81,7 +84,7 @@ class ClusterExecutor {
   int num_cards() const { return topo_.num_cards(); }
   const ClusterTopology& topology() const { return topo_; }
   const PartitionPlan& plan() const { return plan_; }
-  const VitConfig& config() const { return weights_.cfg; }
+  const VitConfig& config() const { return plan_.cfg; }
 
   /// One sharded forward: x is (tokens x d) row-major; returns the final
   /// block output, bit-identical to VitModel::forward_mixed on one card.
@@ -109,17 +112,9 @@ class ClusterExecutor {
                               int requests) const;
 
  private:
-  std::vector<float> forward_pipeline(std::vector<float> x,
-                                      ClusterStats* stats,
-                                      ThreadPool* pool) const;
-  std::vector<float> forward_tensor(std::vector<float> x,
-                                    ClusterStats* stats,
-                                    ThreadPool* pool) const;
-
   StreamTiming assemble_timing(
       std::span<const ClusterStats> per_request) const;
 
-  VitWeights weights_;          ///< full model (replicated params, biases)
   ClusterTopology topo_;
   PartitionPlan plan_;
   std::vector<VitModel> stage_models_;  ///< pipeline strategy only

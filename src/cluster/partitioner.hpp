@@ -6,12 +6,16 @@
 //    (depth / cards each); the only traffic is the (tokens x d) activation
 //    tensor crossing each stage boundary, point-to-point.
 //
-//  * tensor — every card owns depth/... no: every *block* is split across
-//    all cards Megatron-style by heads and FFN columns. To keep the
-//    sharded forward bit-identical to the single-card forward (the
-//    determinism contract tests pin), every split is a *column* split of
-//    the weight matrix at bfp-block boundaries, and boundaries are crossed
-//    with all-gathers only — never reductions:
+//  * tensor — every *block* is split across all cards Megatron-style, by
+//    heads and FFN columns. Card c's slice of a block is an ordinary
+//    BlockWeights: every matrix and bias holds the card's column slice
+//    (qkv as [Q_c | K_c | V_c], the Q, K and V columns of its heads), and
+//    the LayerNorm parameters are replicated. forward_column_shards runs
+//    the same encoder-block walk as the single-card forward over these
+//    slices. To keep the sharded forward bit-identical to the single-card
+//    forward (the determinism contract tests pin), every split is a
+//    *column* split of the weight matrix at bfp-block boundaries, and
+//    boundaries are crossed with all-gathers only — never reductions:
 //
 //      qkv:  card c computes the Q/K/V columns of its heads (local —
 //            per-head attention needs no communication);
@@ -49,21 +53,14 @@ struct PipelineStage {
   VitWeights weights;  ///< cfg.depth == num_blocks; head params copied
 };
 
-/// One card's slice of every encoder block under tensor parallelism.
-struct TensorBlockShard {
-  std::vector<float> qkv_w;   ///< d x 3*(d/C): [Q_c | K_c | V_c] columns
-  std::vector<float> qkv_b;   ///< 3*(d/C)
-  std::vector<float> proj_w;  ///< d x (d/C) column slice
-  std::vector<float> fc1_w;   ///< d x (m/C) column slice
-  std::vector<float> fc1_b;   ///< m/C
-  std::vector<float> fc2_w;   ///< m x (d/C) column slice
-};
-
+/// One card's share of every encoder block under tensor parallelism.
 struct TensorShard {
   int card = 0;
   int head_begin = 0;  ///< first owned attention head
   int head_end = 0;    ///< one past the last owned head
-  std::vector<TensorBlockShard> blocks;  ///< one per encoder block
+  /// One per encoder block: ordinary BlockWeights holding the card's
+  /// column slice (see the header comment), run by forward_column_shards.
+  std::vector<BlockWeights> blocks;
 };
 
 /// The full partitioning decision plus the traffic it implies.

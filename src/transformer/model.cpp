@@ -28,16 +28,39 @@ std::vector<float> matmul_ref(const std::vector<float>& a, int m, int k,
   return c;
 }
 
-std::vector<float> transpose(const std::vector<float>& a, int rows,
-                             int cols) {
-  std::vector<float> t(a.size());
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      t[static_cast<std::size_t>(c) * rows + r] =
-          a[static_cast<std::size_t>(r) * cols + c];
+/// Per-head attention over a fused QKV activation: `qkv` is t x 3*width
+/// laid out [Q | K | V], each segment width/hd heads of hd columns. For
+/// every head this slices q (t x hd), k^T (hd x t) and v (t x hd), asks
+/// `attend(q, kt, v)` for the head's context (t x hd), and writes it into
+/// columns [(head0 + head) * hd, +hd) of `out` (t x out_cols).
+template <typename Attend>
+void attend_heads(const std::vector<float>& qkv, int t, int width, int hd,
+                  std::vector<float>& out, int out_cols, int head0,
+                  Attend&& attend) {
+  const auto rows = static_cast<std::size_t>(t);
+  const auto cols = static_cast<std::size_t>(hd);
+  const auto seg = static_cast<std::size_t>(width);
+  std::vector<float> q(rows * cols);
+  std::vector<float> kt(rows * cols);
+  std::vector<float> v(rows * cols);
+  for (int head = 0; head < width / hd; ++head) {
+    const auto col0 = static_cast<std::size_t>(head) * cols;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* row = qkv.data() + r * 3 * seg + col0;
+      for (std::size_t c = 0; c < cols; ++c) {
+        q[r * cols + c] = row[c];
+        kt[c * rows + r] = row[seg + c];
+        v[r * cols + c] = row[2 * seg + c];
+      }
+    }
+    const std::vector<float> ctx = attend(q, kt, v);
+    const auto out_col0 = static_cast<std::size_t>(head0 + head) * cols;
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::copy_n(ctx.data() + r * cols, cols,
+                  out.data() + r * static_cast<std::size_t>(out_cols) +
+                      out_col0);
     }
   }
-  return t;
 }
 
 }  // namespace
@@ -141,7 +164,6 @@ VitModel::VitModel(VitWeights weights) : w_(std::move(weights)) {
 std::vector<float> VitModel::forward_reference(std::vector<float> x) const {
   const int t = w_.cfg.tokens();
   const int d = w_.cfg.embed_dim;
-  const int h = w_.cfg.num_heads;
   const int hd = w_.cfg.head_dim();
   const int m = w_.cfg.mlp_hidden();
   BFP_REQUIRE(x.size() == static_cast<std::size_t>(t) * d,
@@ -159,32 +181,14 @@ std::vector<float> VitModel::forward_reference(std::vector<float> x) const {
       }
     }
     std::vector<float> attn_out(static_cast<std::size_t>(t) * d);
-    for (int head = 0; head < h; ++head) {
-      std::vector<float> q(static_cast<std::size_t>(t) * hd);
-      std::vector<float> kk(static_cast<std::size_t>(t) * hd);
-      std::vector<float> v(static_cast<std::size_t>(t) * hd);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          const std::size_t base = static_cast<std::size_t>(r) * 3 * d;
-          q[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(head * hd + c)];
-          kk[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(d + head * hd + c)];
-          v[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(2 * d + head * hd + c)];
-        }
-      }
-      auto scores = matmul_ref(q, t, hd, transpose(kk, t, hd), t);
-      for (auto& s : scores) s *= scale;
-      const auto probs = softmax_reference(scores, t, t);
-      const auto ctx = matmul_ref(probs, t, t, v, hd);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          attn_out[static_cast<std::size_t>(r) * d + head * hd + c] =
-              ctx[static_cast<std::size_t>(r) * hd + c];
-        }
-      }
-    }
+    attend_heads(qkv, t, d, hd, attn_out, d, 0,
+                 [&](const std::vector<float>& q, const std::vector<float>& kt,
+                     const std::vector<float>& v) {
+                   auto scores = matmul_ref(q, t, hd, kt, t);
+                   for (auto& s : scores) s *= scale;
+                   const auto probs = softmax_reference(scores, t, t);
+                   return matmul_ref(probs, t, t, v, hd);
+                 });
     auto proj = matmul_ref(attn_out, t, d, b.proj_w, d);
     for (int r = 0; r < t; ++r) {
       for (int c = 0; c < d; ++c) {
@@ -215,10 +219,10 @@ std::vector<float> VitModel::forward_reference(std::vector<float> x) const {
 
 namespace {
 
-/// Mixed-mode elementwise helpers: bias and residual adds go through the
-/// fp32 aligned-add datapath and are charged to the vector mode.
+/// A bias add on the fp32 aligned-add datapath, charged to the vector
+/// path of the card that runs it.
 void add_bias_mixed(std::vector<float>& x, int rows, int cols,
-                    const std::vector<float>& bias, ForwardStats* stats,
+                    const std::vector<float>& bias, ForwardStats& stats,
                     const AcceleratorSystem& sys) {
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
@@ -226,29 +230,15 @@ void add_bias_mixed(std::vector<float>& x, int rows, int cols,
       v = fp32_add_aligned(v, bias[static_cast<std::size_t>(c)]);
     }
   }
-  if (stats != nullptr) {
-    const auto n = static_cast<std::uint64_t>(rows) * cols;
-    stats->nonlinear_ops.fp_add += n;
-    stats->vector_cycles += sys.vector_latency(0, n).cycles;
-  }
-}
-
-void add_residual_mixed(std::vector<float>& x, const std::vector<float>& y,
-                        ForwardStats* stats, const AcceleratorSystem& sys) {
-  BFP_ASSERT(x.size() == y.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = fp32_add_aligned(x[i], y[i]);
-  }
-  if (stats != nullptr) {
-    stats->nonlinear_ops.fp_add += x.size();
-    stats->vector_cycles += sys.vector_latency(0, x.size()).cycles;
-  }
+  const auto n = static_cast<std::uint64_t>(rows) * cols;
+  stats.nonlinear_ops.fp_add += n;
+  stats.vector_cycles += sys.vector_latency(0, n).cycles;
 }
 
 std::vector<float> gemm_mixed(const AcceleratorSystem& sys,
                               const std::vector<float>& a, int m, int k,
-                              const std::vector<float>& b, int n,
-                              ForwardStats* stats, bool bfp8) {
+                              std::span<const float> b, int n,
+                              ForwardStats& stats, bool bfp8) {
   if (!bfp8) {
     // Policy keeps this layer group in fp32: exact matmul, no bfp stats.
     std::vector<float> c(static_cast<std::size_t>(m) *
@@ -266,111 +256,156 @@ std::vector<float> gemm_mixed(const AcceleratorSystem& sys,
     return c;
   }
   GemmRun run = sys.gemm(a, m, k, b, n);
-  if (stats != nullptr) {
-    stats->bfp_macs += run.macs;
-    stats->linear_cycles += run.compute_cycles;
-  }
+  stats.bfp_macs += run.macs;
+  stats.linear_cycles += run.compute_cycles;
   return std::move(run.c);
 }
 
 }  // namespace
 
+std::vector<float> forward_column_shards(
+    const VitConfig& cfg,
+    std::span<const std::span<const BlockWeights>> shards,
+    std::vector<float> x, const AcceleratorSystem& system,
+    std::span<ForwardStats> card_stats, const PrecisionPolicy& policy) {
+  const auto cards = static_cast<int>(shards.size());
+  const int t = cfg.tokens();
+  const int d = cfg.embed_dim;
+  const int hd = cfg.head_dim();
+  const int m = cfg.mlp_hidden();
+  BFP_REQUIRE(cards >= 1 && cfg.num_heads % cards == 0 && m % cards == 0,
+              "forward_column_shards: heads and MLP width must split "
+              "evenly across the shards");
+  BFP_REQUIRE(card_stats.size() == shards.size(),
+              "forward_column_shards: need one ForwardStats per shard");
+  for (const std::span<const BlockWeights> blocks : shards) {
+    BFP_REQUIRE(blocks.size() == static_cast<std::size_t>(cfg.depth),
+                "forward_column_shards: every shard needs depth blocks");
+  }
+  BFP_REQUIRE(x.size() == static_cast<std::size_t>(t) * d,
+              "forward_column_shards: input must be tokens x embed_dim");
+  const int dc = d / cards;
+  const int heads_per_card = cfg.num_heads / cards;
+  const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
+  const auto rows = static_cast<std::size_t>(t);
+
+  // Vector-path work lands in a card's stats as op counts plus the
+  // modelled latency of those ops.
+  auto charge = [&](ForwardStats& s, const OpCounter& ops) {
+    s.nonlinear_ops += ops;
+    s.vector_cycles += system.vector_latency(ops.fp_mul, ops.fp_add).cycles;
+  };
+  // LayerNorm and the residual adds run once on the full-width activation;
+  // every card executes them on its own copy of the activation stream.
+  auto charge_all = [&](const OpCounter& ops) {
+    for (ForwardStats& s : card_stats) charge(s, ops);
+  };
+  auto residual = [&](const std::vector<float>& y) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = fp32_add_aligned(x[i], y[i]);
+    }
+    OpCounter ops;
+    ops.fp_add = x.size();
+    charge_all(ops);
+  };
+  // One column-sharded linear layer: card c multiplies `a` (t x k) by its
+  // weight slice (k x n/C), adds its bias slice (then GELU, if asked), and
+  // its output lands in columns [c*n/C, (c+1)*n/C) of the t x n result.
+  // One card's output already is the full result.
+  using Param = std::vector<float> BlockWeights::*;
+  auto linear = [&](std::size_t blk, const std::vector<float>& a, int k,
+                    int n, Param w, Param bias, bool bfp8, bool gelu) {
+    const int nc = n / cards;
+    const auto width = static_cast<std::size_t>(nc);
+    std::vector<float> full;
+    for (std::size_t c = 0; c < shards.size(); ++c) {
+      const BlockWeights& b = shards[c][blk];
+      ForwardStats& s = card_stats[c];
+      auto y = gemm_mixed(system, a, t, k, b.*w, nc, s, bfp8);
+      add_bias_mixed(y, t, nc, b.*bias, s, system);
+      if (gelu) {
+        OpCounter ops;
+        y = approx_gelu(std::span<const float>(y), &ops);
+        charge(s, ops);
+      }
+      if (cards == 1) return y;
+      full.resize(rows * static_cast<std::size_t>(n));
+      for (std::size_t r = 0; r < rows; ++r) {
+        std::copy_n(y.data() + r * width, width,
+                    full.data() + (r * shards.size() + c) * width);
+      }
+    }
+    return full;
+  };
+
+  for (std::size_t blk = 0; blk < static_cast<std::size_t>(cfg.depth);
+       ++blk) {
+    const BlockWeights& norms = shards[0][blk];  // replicated on every card
+
+    // ---- attention (LN -> QKV -> per-head SDPA -> proj -> residual) ----
+    OpCounter ln1_ops;
+    const auto ln1 = approx_layernorm(x, t, d, norms.ln1_gamma,
+                                      norms.ln1_beta, &ln1_ops);
+    charge_all(ln1_ops);
+    std::vector<float> attn_out(rows * static_cast<std::size_t>(d));
+    for (std::size_t c = 0; c < shards.size(); ++c) {
+      const BlockWeights& b = shards[c][blk];
+      ForwardStats& s = card_stats[c];
+      // The card's [Q_c | K_c | V_c] columns hold everything its heads
+      // need: per-head attention stays card-local.
+      auto qkv = gemm_mixed(system, ln1, t, d, b.qkv_w, 3 * dc, s,
+                            policy.qkv);
+      add_bias_mixed(qkv, t, 3 * dc, b.qkv_b, s, system);
+      attend_heads(
+          qkv, t, dc, hd, attn_out, d, static_cast<int>(c) * heads_per_card,
+          [&](const std::vector<float>& q, const std::vector<float>& kt,
+              const std::vector<float>& v) {
+            auto scores =
+                gemm_mixed(system, q, t, hd, kt, t, s, policy.attention);
+            // 1/sqrt(head_dim) scaling on the fp32 multiply path.
+            for (auto& e : scores) e = fp32_mul_sliced(e, scale);
+            OpCounter scale_ops;
+            scale_ops.fp_mul = scores.size();
+            charge(s, scale_ops);
+            OpCounter softmax_ops;
+            const auto probs = approx_softmax(scores, t, t, &softmax_ops);
+            charge(s, softmax_ops);
+            return gemm_mixed(system, probs, t, t, v, hd, s,
+                              policy.attention);
+          });
+    }
+    residual(linear(blk, attn_out, d, d, &BlockWeights::proj_w,
+                    &BlockWeights::proj_b, policy.proj, /*gelu=*/false));
+
+    // ---- MLP (LN -> fc1 -> GELU -> fc2 -> residual) ----
+    OpCounter ln2_ops;
+    const auto ln2 = approx_layernorm(x, t, d, norms.ln2_gamma,
+                                      norms.ln2_beta, &ln2_ops);
+    charge_all(ln2_ops);
+    const auto act = linear(blk, ln2, d, m, &BlockWeights::fc1_w,
+                            &BlockWeights::fc1_b, policy.mlp, /*gelu=*/true);
+    residual(linear(blk, act, m, d, &BlockWeights::fc2_w,
+                    &BlockWeights::fc2_b, policy.mlp, /*gelu=*/false));
+  }
+  return x;
+}
+
 std::vector<float> VitModel::forward_mixed(
     std::vector<float> x, const AcceleratorSystem& system,
     ForwardStats* stats, const PrecisionPolicy& policy) const {
-  const int t = w_.cfg.tokens();
-  const int d = w_.cfg.embed_dim;
-  const int h = w_.cfg.num_heads;
-  const int hd = w_.cfg.head_dim();
-  const int m = w_.cfg.mlp_hidden();
-  BFP_REQUIRE(x.size() == static_cast<std::size_t>(t) * d,
-              "forward_mixed: input must be tokens x embed_dim");
-  const float scale = 1.0F / std::sqrt(static_cast<float>(hd));
-
-  auto charge_vec = [&](const OpCounter& before, const OpCounter& after) {
-    if (stats == nullptr) return;
-    stats->vector_cycles +=
-        system
-            .vector_latency(after.fp_mul - before.fp_mul,
-                            after.fp_add - before.fp_add)
-            .cycles;
-  };
-  OpCounter* ops = stats != nullptr ? &stats->nonlinear_ops : nullptr;
-
-  for (const BlockWeights& b : w_.blocks) {
-    // ---- attention (LN -> QKV -> per-head SDPA -> proj -> residual) ----
-    OpCounter snap = ops != nullptr ? *ops : OpCounter{};
-    const auto ln1 =
-        approx_layernorm(x, t, d, b.ln1_gamma, b.ln1_beta, ops);
-    if (ops != nullptr) charge_vec(snap, *ops);
-
-    auto qkv = gemm_mixed(system, ln1, t, d, b.qkv_w, 3 * d, stats,
-                          policy.qkv);
-    add_bias_mixed(qkv, t, 3 * d, b.qkv_b, stats, system);
-
-    std::vector<float> attn_out(static_cast<std::size_t>(t) * d);
-    for (int head = 0; head < h; ++head) {
-      std::vector<float> q(static_cast<std::size_t>(t) * hd);
-      std::vector<float> kk(static_cast<std::size_t>(t) * hd);
-      std::vector<float> v(static_cast<std::size_t>(t) * hd);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          const std::size_t base = static_cast<std::size_t>(r) * 3 * d;
-          q[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(head * hd + c)];
-          kk[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(d + head * hd + c)];
-          v[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(2 * d + head * hd + c)];
-        }
-      }
-      auto scores = gemm_mixed(system, q, t, hd, transpose(kk, t, hd), t,
-                               stats, policy.attention);
-      // 1/sqrt(head_dim) scaling on the fp32 multiply path.
-      for (auto& s : scores) s = fp32_mul_sliced(s, scale);
-      if (stats != nullptr) {
-        stats->nonlinear_ops.fp_mul += scores.size();
-        stats->vector_cycles +=
-            system.vector_latency(scores.size(), 0).cycles;
-      }
-      snap = ops != nullptr ? *ops : OpCounter{};
-      const auto probs = approx_softmax(scores, t, t, ops);
-      if (ops != nullptr) charge_vec(snap, *ops);
-      const auto ctx =
-          gemm_mixed(system, probs, t, t, v, hd, stats, policy.attention);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          attn_out[static_cast<std::size_t>(r) * d + head * hd + c] =
-              ctx[static_cast<std::size_t>(r) * hd + c];
-        }
-      }
-    }
-    auto proj = gemm_mixed(system, attn_out, t, d, b.proj_w, d, stats,
-                           policy.proj);
-    add_bias_mixed(proj, t, d, b.proj_b, stats, system);
-    add_residual_mixed(x, proj, stats, system);
-
-    // ---- MLP (LN -> fc1 -> GELU -> fc2 -> residual) ----
-    snap = ops != nullptr ? *ops : OpCounter{};
-    const auto ln2 =
-        approx_layernorm(x, t, d, b.ln2_gamma, b.ln2_beta, ops);
-    if (ops != nullptr) charge_vec(snap, *ops);
-    auto hdn = gemm_mixed(system, ln2, t, d, b.fc1_w, m, stats, policy.mlp);
-    add_bias_mixed(hdn, t, m, b.fc1_b, stats, system);
-    snap = ops != nullptr ? *ops : OpCounter{};
-    const auto act = approx_gelu(std::span<const float>(hdn), ops);
-    if (ops != nullptr) charge_vec(snap, *ops);
-    auto out = gemm_mixed(system, act, t, m, b.fc2_w, d, stats, policy.mlp);
-    add_bias_mixed(out, t, d, b.fc2_b, stats, system);
-    add_residual_mixed(x, out, stats, system);
-  }
-  return x;
+  // One card: the model's own blocks are the single column shard.
+  const std::span<const BlockWeights> blocks(w_.blocks);
+  ForwardStats unused;
+  return forward_column_shards(
+      w_.cfg, std::span<const std::span<const BlockWeights>>(&blocks, 1),
+      std::move(x), system,
+      std::span<ForwardStats>(stats != nullptr ? stats : &unused, 1),
+      policy);
 }
 
 std::vector<float> VitModel::forward_int8(std::vector<float> x) const {
   const int t = w_.cfg.tokens();
   const int d = w_.cfg.embed_dim;
-  const int h = w_.cfg.num_heads;
   const int hd = w_.cfg.head_dim();
   const int m = w_.cfg.mlp_hidden();
   BFP_REQUIRE(x.size() == static_cast<std::size_t>(t) * d,
@@ -401,32 +436,14 @@ std::vector<float> VitModel::forward_int8(std::vector<float> x) const {
       }
     }
     std::vector<float> attn_out(static_cast<std::size_t>(t) * d);
-    for (int head = 0; head < h; ++head) {
-      std::vector<float> q(static_cast<std::size_t>(t) * hd);
-      std::vector<float> kk(static_cast<std::size_t>(t) * hd);
-      std::vector<float> v(static_cast<std::size_t>(t) * hd);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          const std::size_t base = static_cast<std::size_t>(r) * 3 * d;
-          q[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(head * hd + c)];
-          kk[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(d + head * hd + c)];
-          v[static_cast<std::size_t>(r) * hd + c] =
-              qkv[base + static_cast<std::size_t>(2 * d + head * hd + c)];
-        }
-      }
-      auto scores = mm_int8(q, t, hd, transpose(kk, t, hd), t);
-      for (auto& s : scores) s *= scale;
-      const auto probs = softmax_reference(scores, t, t);
-      const auto ctx = mm_int8(probs, t, t, v, hd);
-      for (int r = 0; r < t; ++r) {
-        for (int c = 0; c < hd; ++c) {
-          attn_out[static_cast<std::size_t>(r) * d + head * hd + c] =
-              ctx[static_cast<std::size_t>(r) * hd + c];
-        }
-      }
-    }
+    attend_heads(qkv, t, d, hd, attn_out, d, 0,
+                 [&](const std::vector<float>& q, const std::vector<float>& kt,
+                     const std::vector<float>& v) {
+                   auto scores = mm_int8(q, t, hd, kt, t);
+                   for (auto& s : scores) s *= scale;
+                   const auto probs = softmax_reference(scores, t, t);
+                   return mm_int8(probs, t, t, v, hd);
+                 });
     auto proj = mm_int8(attn_out, t, d, b.proj_w, d);
     for (int r = 0; r < t; ++r) {
       for (int c = 0; c < d; ++c) {

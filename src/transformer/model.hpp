@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -145,6 +146,26 @@ class VitModel {
  private:
   VitWeights w_;
 };
+
+/// The encoder blocks of `cfg` as one walk over C column shards of their
+/// weights — the mixed-precision forward for one card (C = 1) and for a
+/// tensor-parallel cluster (C > 1) alike. shards[c][blk] is card c's slice
+/// of block blk: every matrix and bias holds the card's column slice
+/// (qkv as [Q_c | K_c | V_c]) and the LayerNorm parameters are replicated.
+/// Each GEMM with its bias, and the GELU, runs once per shard and lands in
+/// the shard's columns of the full-width activation; card c owns heads
+/// [c*h/C, (c+1)*h/C), whose attention stays card-local. LayerNorm and the
+/// residual adds run once on the full-width activation, and their cost is
+/// charged to every card: each card's `card_stats[c]` accumulates what
+/// that card executes.
+/// Column splits on bfp block boundaries keep every quantization block and
+/// k-reduction order, so the result is bit-identical for any C.
+std::vector<float> forward_column_shards(
+    const VitConfig& cfg,
+    std::span<const std::span<const BlockWeights>> shards,
+    std::vector<float> x, const AcceleratorSystem& system,
+    std::span<ForwardStats> card_stats,
+    const PrecisionPolicy& policy = PrecisionPolicy::all_bfp8());
 
 /// Top-1 agreement between two logit sets over a batch of runs (utility
 /// for the accuracy experiments).

@@ -218,7 +218,7 @@ TEST(Partitioner, TensorShardsSliceColumnsByHead) {
   EXPECT_EQ(plan.shards[0].head_begin, 0);
   EXPECT_EQ(plan.shards[0].head_end, 1);
   EXPECT_EQ(plan.shards[1].head_begin, 1);
-  const TensorBlockShard& s1 = plan.shards[1].blocks[0];
+  const BlockWeights& s1 = plan.shards[1].blocks[0];
   ASSERT_EQ(s1.qkv_w.size(), static_cast<std::size_t>(d) * 3 * dc);
   // Card 1's Q columns are the full qkv_w's columns [dc, d).
   for (int r = 0; r < d; ++r) {
