@@ -237,7 +237,7 @@ void add_bias_mixed(std::vector<float>& x, int rows, int cols,
 
 std::vector<float> gemm_mixed(const AcceleratorSystem& sys,
                               const std::vector<float>& a, int m, int k,
-                              std::span<const float> b, int n,
+                              const std::vector<float>& b, int n,
                               ForwardStats& stats, bool bfp8) {
   if (!bfp8) {
     // Policy keeps this layer group in fp32: exact matmul, no bfp stats.
@@ -301,6 +301,7 @@ std::vector<float> forward_column_shards(
     for (ForwardStats& s : card_stats) charge(s, ops);
   };
   auto residual = [&](const std::vector<float>& y) {
+    BFP_ASSERT(x.size() == y.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
       x[i] = fp32_add_aligned(x[i], y[i]);
     }
@@ -317,7 +318,8 @@ std::vector<float> forward_column_shards(
                     int n, Param w, Param bias, bool bfp8, bool gelu) {
     const int nc = n / cards;
     const auto width = static_cast<std::size_t>(nc);
-    std::vector<float> full;
+    std::vector<float> full(cards > 1 ? rows * static_cast<std::size_t>(n)
+                                      : 0);
     for (std::size_t c = 0; c < shards.size(); ++c) {
       const BlockWeights& b = shards[c][blk];
       ForwardStats& s = card_stats[c];
@@ -329,7 +331,6 @@ std::vector<float> forward_column_shards(
         charge(s, ops);
       }
       if (cards == 1) return y;
-      full.resize(rows * static_cast<std::size_t>(n));
       for (std::size_t r = 0; r < rows; ++r) {
         std::copy_n(y.data() + r * width, width,
                     full.data() + (r * shards.size() + c) * width);
