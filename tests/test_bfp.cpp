@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "numerics/format/format_spec.hpp"
 #include "numerics/quantizer.hpp"
 
 namespace bfpsim {
@@ -230,6 +232,133 @@ TEST(BfpGemmReference, MatchesDoubleGemmClosely) {
   // amplifies truncation loss); 5e-4 still means only low-order bits moved.
   const ErrorStats s = compute_error_stats(c, ref);
   EXPECT_LT(s.rel_rmse, 5e-4);
+}
+
+/// ------- parent-pinned quantizer digests (captured once, never
+/// regenerated: a quantizer rewrite must reproduce these bits exactly) -----
+
+/// FNV-1a over a block: shared exponent then every mantissa, little-endian.
+std::uint64_t fnv1a_block(const BfpBlock& b, std::uint64_t h) {
+  auto byte = [&h](std::uint8_t x) {
+    h ^= x;
+    h *= 0x100000001b3ULL;
+  };
+  const auto e = static_cast<std::uint32_t>(b.expb);
+  for (int i = 0; i < 4; ++i) byte(static_cast<std::uint8_t>(e >> (8 * i)));
+  for (const std::int16_t m : b.man) {
+    const auto u = static_cast<std::uint16_t>(m);
+    byte(static_cast<std::uint8_t>(u));
+    byte(static_cast<std::uint8_t>(u >> 8));
+  }
+  return h;
+}
+
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+/// Padded dims, then every block in grid order.
+std::uint64_t fnv1a_matrix(const BfpMatrix& m) {
+  std::uint64_t h = fnv1a_block(BfpBlock{}, kFnvOffset);
+  BfpBlock dims;
+  dims.expb = m.rows * 65536 + m.cols;
+  h = fnv1a_block(dims, h);
+  for (const BfpBlock& b : m.blocks) h = fnv1a_block(b, h);
+  return h;
+}
+
+struct CorpusDigest {
+  int rows;
+  int cols;
+  bool weight;  ///< weight-like N(0, 0.02) vs activation-like with outliers
+  std::uint64_t digest;
+};
+
+/// Seeded operand corpus of one GEMM operand shape.
+std::vector<float> corpus(const CorpusDigest& c) {
+  Rng rng(static_cast<std::uint64_t>(c.rows) * 7919 + c.cols);
+  const auto n = static_cast<std::size_t>(c.rows) * c.cols;
+  return c.weight ? rng.normal_vec(n, 0.0F, 0.02F)
+                  : rng.transformer_like_vec(n, 1.0F, 0.01, 40.0F);
+}
+
+TEST(QuantizerDigest, DeitSmallGemmOperands) {
+  // RNE symmetric bfp8 (the production path) on every operand shape of a
+  // DeiT-Small forward: patch embed, qkv, proj, fc1, fc2, q.k^T, attn.v.
+  const std::vector<CorpusDigest> cases{
+      {196, 768, false, 0xd9b3baaf6dcfe44bULL},
+      {768, 384, true, 0x2685f8f9d0a5c1e5ULL},
+      {197, 384, false, 0x892495001b650c13ULL},
+      {384, 1152, true, 0x1d28f79cbdc14809ULL},
+      {384, 384, true, 0x6346a1112c9c8ceaULL},
+      {384, 1536, true, 0x23aa82574a3b9088ULL},
+      {197, 1536, false, 0x7e669fae74d9d0fcULL},
+      {1536, 384, true, 0x6a1d0ab42b5aa72bULL},
+      {197, 64, false, 0x3809c63e12b88faaULL},
+      {64, 197, false, 0xcfc52f16963534aeULL},
+      {197, 197, false, 0x89361f08da4fdf7fULL},
+  };
+  for (const CorpusDigest& c : cases) {
+    const BfpMatrix m = quantize_matrix(corpus(c), c.rows, c.cols,
+                                        bfp8_format(),
+                                        RoundMode::kNearestEven);
+    EXPECT_EQ(fnv1a_matrix(m), c.digest)
+        << c.rows << "x" << c.cols << " got 0x" << std::hex
+        << fnv1a_matrix(m);
+  }
+}
+
+TEST(QuantizerDigest, VitTestTinyGemmOperands) {
+  const std::vector<CorpusDigest> cases{
+      {16, 192, false, 0x10d5ac688b013e6fULL},
+      {192, 64, true, 0x301dbd0a4dcb1c2bULL},
+      {17, 64, false, 0x3ed7e61a0ab8b9dcULL},
+      {64, 192, true, 0x3db0679a1c1af416ULL},
+      {64, 64, true, 0x0fd277e94cc504bbULL},
+      {64, 256, true, 0x85e6215d91787b63ULL},
+      {17, 256, false, 0xc0dd3828014c21faULL},
+      {256, 64, true, 0x6954f4e7923363d8ULL},
+      {17, 32, false, 0x10786145f722e882ULL},
+      {32, 17, false, 0x3bed04cba0417ecbULL},
+      {17, 17, false, 0x60f37c10f8d6ef1dULL},
+  };
+  for (const CorpusDigest& c : cases) {
+    const BfpMatrix m = quantize_matrix(corpus(c), c.rows, c.cols,
+                                        bfp8_format(),
+                                        RoundMode::kNearestEven);
+    EXPECT_EQ(fnv1a_matrix(m), c.digest)
+        << c.rows << "x" << c.cols << " got 0x" << std::hex
+        << fnv1a_matrix(m);
+  }
+}
+
+TEST(QuantizerDigest, FormatSpecBlockEncode) {
+  // encode_block, the block ENCODE behind the registry's shared-exponent
+  // modes, at the spec's default RNE rounding over several geometries.
+  struct Case {
+    FormatSpec spec;
+    int rows;
+    int cols;
+    std::uint64_t digest;
+  };
+  const std::vector<Case> cases{
+      {FormatSpec::bfp8(), 8, 8, 0x7fc95070e53a954fULL},
+      {FormatSpec::bfp_block(8, 4, 16), 4, 4, 0x8e24e077fed22847ULL},
+      {FormatSpec::bfp_block(6, 6, 64), 4, 16, 0x2787b8a72feba85bULL},
+      {FormatSpec::bfp_block(5, 12, 16), 2, 8, 0xc5622cba0aeb2fb7ULL},
+  };
+  for (const Case& c : cases) {
+    Rng rng(static_cast<std::uint64_t>(c.spec.we * 100 + c.spec.wm * 10 +
+                                       c.rows));
+    std::uint64_t h = kFnvOffset;
+    for (int t = 0; t < 256; ++t) {
+      const auto tile = rng.transformer_like_vec(
+          static_cast<std::size_t>(c.rows * c.cols),
+          std::ldexp(1.0F, static_cast<int>(rng.uniform_int(-6, 6))), 0.05,
+          16.0F);
+      h = fnv1a_block(encode_block(tile, c.spec, c.rows, c.cols), h);
+    }
+    EXPECT_EQ(h, c.digest) << to_string(c.spec) << " " << c.rows << "x"
+                           << c.cols << " got 0x" << std::hex << h;
+  }
 }
 
 /// Property sweep: quantize/dequantize round trip stays bounded for many
