@@ -16,6 +16,13 @@
 //   --check-speedup X   fail unless the best tier reaches X times the
 //       reference on the largest GEMM shape (the issue's >= 5x bar).
 //
+// Each shape also gets a "quantize" point: quantize_share = wall time of
+// quantize_matrix(A) + quantize_matrix(B) over that plus the wall time of
+// the best tier's single-threaded GEMM on the quantized operands, both
+// measured in the same run, so host speed cancels. With --baseline, a
+// share more than T above the committed one fails the run: operand
+// quantization must not creep back into dominating a GEMM call.
+//
 // Usage: bench_sim_throughput [--smoke] [--threads N] [--json-out FILE]
 //                             [--baseline FILE] [--tolerance T]
 //                             [--check-speedup X] [--seed S]
@@ -27,6 +34,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -63,6 +71,65 @@ bool find_json_number(const std::string& doc, const std::string& anchor,
   if (kat == std::string::npos) return false;
   *out = std::atof(doc.c_str() + kat + key.size() + 3);
   return true;
+}
+
+/// Fastest per-rep wall time over several timing chunks, self-scaled to
+/// about `target_s` from one probe run. Scheduler and frequency noise only
+/// ever add time, so the minimum is the stable estimator — this is what
+/// keeps the 20% regression gate from tripping on host jitter.
+template <typename F>
+double min_wall_per_rep(F&& run_once, double target_s, int* reps_out) {
+  const Clock::time_point p0 = Clock::now();
+  run_once();
+  const double probe_s = seconds_since(p0);
+  int reps = static_cast<int>(target_s / (probe_s > 1e-9 ? probe_s : 1e-9));
+  if (reps < 3) reps = 3;
+  if (reps > 2000) reps = 2000;
+  constexpr int kChunks = 5;
+  const int chunk_reps = reps < kChunks ? 1 : reps / kChunks;
+  double wall_per_rep = 0.0;
+  int total_reps = 0;
+  while (total_reps < reps) {
+    const Clock::time_point t0 = Clock::now();
+    for (int r = 0; r < chunk_reps; ++r) run_once();
+    const double chunk = seconds_since(t0) / chunk_reps;
+    if (wall_per_rep == 0.0 || chunk < wall_per_rep) wall_per_rep = chunk;
+    total_reps += chunk_reps;
+  }
+  *reps_out = reps;
+  return wall_per_rep;
+}
+
+/// Fastest per-rep wall times of two workloads timed in alternating chunks
+/// (each chunk about 1/20 of `target_s`), so that host drift during the
+/// measurement reaches both and cancels in their ratio.
+template <typename F, typename G>
+std::pair<double, double> min_wall_alternating(F&& f, G&& g,
+                                               double target_s) {
+  constexpr int kRounds = 10;
+  auto chunk_reps = [&](auto& run) {
+    const Clock::time_point p0 = Clock::now();
+    run();
+    const double probe_s = seconds_since(p0);
+    const int reps = static_cast<int>(target_s / (2 * kRounds) /
+                                      (probe_s > 1e-9 ? probe_s : 1e-9));
+    return reps < 1 ? 1 : (reps > 400 ? 400 : reps);
+  };
+  const int f_reps = chunk_reps(f);
+  const int g_reps = chunk_reps(g);
+  double f_best = 0.0;
+  double g_best = 0.0;
+  for (int round = 0; round < kRounds; ++round) {
+    Clock::time_point t0 = Clock::now();
+    for (int r = 0; r < f_reps; ++r) f();
+    const double f_wall = seconds_since(t0) / f_reps;
+    t0 = Clock::now();
+    for (int r = 0; r < g_reps; ++r) g();
+    const double g_wall = seconds_since(t0) / g_reps;
+    if (round == 0 || f_wall < f_best) f_best = f_wall;
+    if (round == 0 || g_wall < g_best) g_best = g_wall;
+  }
+  return {f_best, g_best};
 }
 
 }  // namespace
@@ -148,17 +215,24 @@ int main(int argc, char** argv) {
     baseline = ss.str();
   }
 
+  // Smoke still spends 0.2s per point: any shorter and the minimum's
+  // chunks are ~1ms, where scheduler noise swamps the 20% gate.
+  const double target_s = smoke ? 0.2 : 0.3;
+  // The quantize share is a ratio of two ~0.1 ms timings and needs the same
+  // budget in smoke and full runs to compare against one baseline.
+  constexpr double kQuantizeShareTargetS = 0.6;
   bool gate_failed = false;
   double largest_best_speedup = 0.0;
   bool first = true;
+  std::ostringstream quantize_points;
   for (const Shape& s : shapes) {
     Rng rng(seed + static_cast<std::uint64_t>(s.m * 131 + s.n));
     const std::vector<float> a =
         rng.uniform_vec(static_cast<std::size_t>(s.m * s.k), -2.0f, 2.0f);
     const std::vector<float> b =
         rng.uniform_vec(static_cast<std::size_t>(s.k * s.n), -2.0f, 2.0f);
-    // Quantization is outside the timed region: the bench measures the
-    // tile-product datapath, not the quantizer.
+    // Quantization is outside the GEMM points' timed region: those measure
+    // the tile-product datapath. The quantize point below times it apart.
     const BfpMatrix am =
         quantize_matrix(a, s.m, s.k, fmt, RoundMode::kNearestEven);
     const BfpMatrix bm =
@@ -186,33 +260,9 @@ int main(int argc, char** argv) {
                      v.name.c_str());
         gate_failed = true;
       }
-      // Self-scale reps: aim for ~0.3s (0.05s smoke) per point based on a
-      // single probe of this variant.
-      const Clock::time_point p0 = Clock::now();
-      (void)run_once();
-      const double probe_s = seconds_since(p0);
-      // Smoke still spends 0.2s per point: any shorter and the minimum's
-      // chunks are ~1ms, where scheduler noise swamps the 20% gate.
-      const double target_s = smoke ? 0.2 : 0.3;
-      int reps = static_cast<int>(target_s / (probe_s > 1e-9 ? probe_s : 1e-9));
-      if (reps < 3) reps = 3;
-      if (reps > 2000) reps = 2000;
-
-      // Take the fastest of several timing chunks rather than one mean:
-      // scheduler/frequency noise only ever adds time, so the minimum is
-      // the stable estimator — this is what keeps the 20% regression gate
-      // from tripping on host jitter.
-      constexpr int kChunks = 5;
-      const int chunk_reps = reps < kChunks ? 1 : reps / kChunks;
-      double wall_per_rep = 0.0;
-      int total_reps = 0;
-      while (total_reps < reps) {
-        const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < chunk_reps; ++r) (void)run_once();
-        const double chunk = seconds_since(t0) / chunk_reps;
-        if (wall_per_rep == 0.0 || chunk < wall_per_rep) wall_per_rep = chunk;
-        total_reps += chunk_reps;
-      }
+      int reps = 0;
+      const double wall_per_rep =
+          min_wall_per_rep([&] { (void)run_once(); }, target_s, &reps);
       if (v.is_reference) ref_wall_per_rep = wall_per_rep;
       const double speedup =
           v.is_reference ? 1.0 : ref_wall_per_rep / wall_per_rep;
@@ -251,7 +301,44 @@ int main(int argc, char** argv) {
         }
       }
     }
+
+    // Quantize share of one GEMM call at this shape, both halves serial.
+    const auto [quant_wall, gemm_wall] = min_wall_alternating(
+        [&] {
+          (void)quantize_matrix(a, s.m, s.k, fmt, RoundMode::kNearestEven);
+          (void)quantize_matrix(b, s.k, s.n, fmt, RoundMode::kNearestEven);
+        },
+        [&] {
+          (void)bfp_gemm_dispatch(am, bm, s.m, s.n, psu_bits,
+                                  best_kernel_tier(), nullptr);
+        },
+        kQuantizeShareTargetS);
+    const double share = quant_wall / (quant_wall + gemm_wall);
+    const std::string anchor =
+        "\"shape\":\"" + s.str() + "\",\"variant\":\"quantize\"";
+    quantize_points << ",{" << anchor << ",\"elements_per_rep\":"
+                    << s.m * s.k + s.k * s.n << ",\"quantize_ms_per_rep\":" << 1e3 * quant_wall
+                    << ",\"gemm_ms_per_rep\":" << 1e3 * gemm_wall
+                    << ",\"quantize_share\":" << share << "}";
+    std::fprintf(stderr,
+                 "  gemm %-12s quantize  %8.3f ms/rep  (%.2f ns/elem)  "
+                 "share of quantize+%s gemm %.3f\n",
+                 s.str().c_str(), 1e3 * quant_wall,
+                 1e9 * quant_wall / (s.m * s.k + s.k * s.n),
+                 to_string(best_kernel_tier()), share);
+    if (!baseline.empty()) {
+      double base_share = 0.0;
+      if (find_json_number(baseline, anchor, "quantize_share", &base_share) &&
+          share > base_share * (1.0 + tolerance)) {
+        std::fprintf(stderr,
+                     "REGRESSION: %s quantize share %.3f > baseline %.3f "
+                     "+ %.0f%%\n",
+                     s.str().c_str(), share, base_share, 100.0 * tolerance);
+        gate_failed = true;
+      }
+    }
   }
+  json << quantize_points.str();
 
   // End-to-end serving slice: the whole stack (quantize + kernels + event
   // loop) at the active tier, measured as makespan sim-cycles per wall

@@ -1,6 +1,7 @@
 #include "numerics/bfp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -8,6 +9,7 @@
 #include "common/bitops.hpp"
 #include "common/contract.hpp"
 #include "common/thread_pool.hpp"
+#include "numerics/fp32.hpp"
 
 namespace bfpsim {
 
@@ -52,71 +54,142 @@ std::int64_t round_shift(std::int64_t v, int shift, RoundMode round) {
   return 0;
 }
 
+namespace {
+
+// Exact integer rounding of a double with |x| < 2^51. Adding 1.5 * 2^52
+// leaves no fraction bits, so the FPU's default round-to-nearest-even
+// rounds x to an integer, and subtracting the constant back is exact: the
+// result equals std::nearbyint(x) without a libm call.
+inline double round_nearest_even(double x) {
+  constexpr double kShifter = 0x1.8p52;
+  return (x + kShifter) - kShifter;
+}
+
+inline double round_floor(double x) {
+  const double r = round_nearest_even(x);
+  return r > x ? r - 1.0 : r;
+}
+
+/// The documented per-element rounding of a scaled value. Each mode is
+/// non-decreasing in x, which is what lets the exponent search test only a
+/// block's two extremes.
+template <RoundMode kRound>
+inline double round_scaled(double x) {
+  if constexpr (kRound == RoundMode::kTruncate) {
+    return round_floor(x);
+  } else if constexpr (kRound == RoundMode::kNearestEven) {
+    return round_nearest_even(x);
+  } else {
+    return round_floor(x + 0.5);
+  }
+}
+
+/// 2^-e from its bit pattern; exact and normal for |e| <= 1022.
+inline double pow2_neg(int e) {
+  return std::bit_cast<double>(static_cast<std::uint64_t>(1023 - e) << 52);
+}
+
+/// Quantize the tile at `src` (row stride `stride`) into `out`, whose
+/// mantissas must be zero on entry. Only the top-left valid_rows x
+/// valid_cols elements are read; the rest of the block is zero padding.
+///
+/// One pass takes the tile's extremes and its largest magnitude (whose bit
+/// pattern also flags NaN/Inf). Because rounding is monotone, round(v * s)
+/// lies between the rounded extremes for every element, so an exponent fits
+/// the whole tile iff it fits both extremes. The search starts at
+/// L - mant_bits + 1, L = floor(log2(max |v|)): every smaller exponent
+/// scales the largest magnitude to at least 2^mant_bits, which no mode
+/// rounds into range, so the first exponent that fits is the smallest one.
+/// Scaling a float by 2^-e in double is exact (|e| <= 512 keeps every
+/// product normal), so each mantissa is round(v * 2^-e) exactly.
+template <RoundMode kRound>
+void quantize_tile(const float* src, std::size_t stride, int valid_rows,
+                   int valid_cols, const BfpFormat& fmt, BfpBlock& out) {
+  float lo = 0.0F;
+  float hi = 0.0F;
+  std::uint32_t max_abs_bits = 0;
+  for (int r = 0; r < valid_rows; ++r) {
+    const float* row = src + static_cast<std::size_t>(r) * stride;
+    for (int c = 0; c < valid_cols; ++c) {
+      const float v = row[c];
+      lo = v < lo ? v : lo;
+      hi = v > hi ? v : hi;
+      max_abs_bits =
+          std::max(max_abs_bits, std::bit_cast<std::uint32_t>(v) & 0x7FFFFFFFU);
+    }
+  }
+  BFP_REQUIRE(max_abs_bits < 0x7F800000U, "quantize_block: NaN/Inf input");
+  if (max_abs_bits == 0) {
+    out.expb = static_cast<std::int32_t>(fmt.exp_min());
+    return;
+  }
+
+  const int biased = static_cast<int>(max_abs_bits >> kFp32FracBits);
+  const int log2_max =
+      biased != 0 ? biased - kFp32Bias
+                  : msb_index(max_abs_bits) - kFp32Bias - kFp32FracBits + 1;
+  const auto mant_max = static_cast<double>(fmt.mant_max());
+  const auto mant_min = static_cast<double>(fmt.mant_min());
+  int e = std::max(static_cast<int>(fmt.exp_min()),
+                   log2_max - fmt.mant_bits + 1);
+  double scale = 0.0;
+  for (;; ++e) {
+    BFP_REQUIRE(e <= fmt.exp_max(),
+                "quantize_block: value too large for exponent range");
+    scale = pow2_neg(e);
+    if (round_scaled<kRound>(static_cast<double>(hi) * scale) <= mant_max &&
+        round_scaled<kRound>(static_cast<double>(lo) * scale) >= mant_min) {
+      break;
+    }
+  }
+
+  out.expb = e;
+  for (int r = 0; r < valid_rows; ++r) {
+    const float* row = src + static_cast<std::size_t>(r) * stride;
+    std::int16_t* man = out.man.data() + static_cast<std::size_t>(r) * fmt.cols;
+    for (int c = 0; c < valid_cols; ++c) {
+      man[c] = static_cast<std::int16_t>(static_cast<std::int32_t>(
+          round_scaled<kRound>(static_cast<double>(row[c]) * scale)));
+    }
+  }
+#if BFPSIM_CONTRACTS
+  BFPSIM_ENSURE(out.expb >= fmt.exp_min() && out.expb <= fmt.exp_max(),
+                "quantize_block: shared exponent outside format range");
+  for (const std::int16_t m : out.man) {
+    BFPSIM_ENSURE(m >= fmt.mant_min() && m <= fmt.mant_max(),
+                  "quantize_block: mantissa outside format range");
+  }
+#endif
+}
+
+void quantize_tile(const float* src, std::size_t stride, int valid_rows,
+                   int valid_cols, const BfpFormat& fmt, RoundMode round,
+                   BfpBlock& out) {
+  switch (round) {
+    case RoundMode::kTruncate:
+      return quantize_tile<RoundMode::kTruncate>(src, stride, valid_rows,
+                                                 valid_cols, fmt, out);
+    case RoundMode::kNearestEven:
+      return quantize_tile<RoundMode::kNearestEven>(src, stride, valid_rows,
+                                                    valid_cols, fmt, out);
+    case RoundMode::kHalfAway:
+      return quantize_tile<RoundMode::kHalfAway>(src, stride, valid_rows,
+                                                 valid_cols, fmt, out);
+  }
+  BFP_ASSERT(false);
+}
+
+}  // namespace
+
 BfpBlock quantize_block(std::span<const float> tile, const BfpFormat& fmt,
                         RoundMode round) {
   fmt.validate();
   BFP_REQUIRE(tile.size() == static_cast<std::size_t>(fmt.elements()),
               "quantize_block: tile size must equal rows*cols");
   BfpBlock out(fmt);
-
-  float max_abs = 0.0F;
-  for (float v : tile) {
-    BFP_REQUIRE(std::isfinite(v), "quantize_block: NaN/Inf input");
-    max_abs = std::max(max_abs, std::fabs(v));
-  }
-  if (max_abs == 0.0F) {
-    out.expb = static_cast<std::int32_t>(fmt.exp_min());
-    return out;
-  }
-
-  // Smallest expb with round(max_abs * 2^-expb) <= mant_max. Start from the
-  // analytic estimate and nudge upward if rounding carries out of range.
-  int e = std::max<int>(
-      static_cast<int>(fmt.exp_min()),
-      static_cast<int>(std::ceil(
-          std::log2(static_cast<double>(max_abs) /
-                    (static_cast<double>(fmt.mant_max()) + 0.5)))));
-  auto quantize_at = [&](int expb, bool& ok) {
-    std::vector<std::int16_t> man(tile.size());
-    ok = true;
-    for (std::size_t i = 0; i < tile.size(); ++i) {
-      const double scaled = std::ldexp(static_cast<double>(tile[i]), -expb);
-      double q;
-      switch (round) {
-        case RoundMode::kTruncate: q = std::floor(scaled); break;
-        case RoundMode::kNearestEven: q = std::nearbyint(scaled); break;
-        case RoundMode::kHalfAway: q = std::floor(scaled + 0.5); break;
-        default: q = 0; BFP_ASSERT(false);
-      }
-      if (q < static_cast<double>(fmt.mant_min()) ||
-          q > static_cast<double>(fmt.mant_max())) {
-        ok = false;
-        return man;
-      }
-      man[i] = static_cast<std::int16_t>(q);
-    }
-    return man;
-  };
-
-  for (;; ++e) {
-    BFP_REQUIRE(e <= fmt.exp_max(),
-                "quantize_block: value too large for exponent range");
-    bool ok = false;
-    auto man = quantize_at(e, ok);
-    if (ok) {
-      out.expb = e;
-      out.man = std::move(man);
-#if BFPSIM_CONTRACTS
-      BFPSIM_ENSURE(out.expb >= fmt.exp_min() && out.expb <= fmt.exp_max(),
-                    "quantize_block: shared exponent outside format range");
-      for (const std::int16_t m : out.man) {
-        BFPSIM_ENSURE(m >= fmt.mant_min() && m <= fmt.mant_max(),
-                      "quantize_block: mantissa outside format range");
-      }
-#endif
-      return out;
-    }
-  }
+  quantize_tile(tile.data(), static_cast<std::size_t>(fmt.cols), fmt.rows,
+                fmt.cols, fmt, round, out);
+  return out;
 }
 
 std::vector<float> WideBlock::dequantize() const {
@@ -233,20 +306,16 @@ BfpMatrix quantize_matrix(std::span<const float> data, int rows, int cols,
   const int brs = m.rows / fmt.rows;
   const int bcs = m.cols / fmt.cols;
   m.blocks.reserve(static_cast<std::size_t>(brs) * bcs);
-  std::vector<float> tile(static_cast<std::size_t>(fmt.elements()));
   for (int br = 0; br < brs; ++br) {
+    const int r0 = br * fmt.rows;
     for (int bc = 0; bc < bcs; ++bc) {
-      for (int r = 0; r < fmt.rows; ++r) {
-        for (int c = 0; c < fmt.cols; ++c) {
-          const int gr = br * fmt.rows + r;
-          const int gc = bc * fmt.cols + c;
-          tile[static_cast<std::size_t>(r * fmt.cols + c)] =
-              (gr < rows && gc < cols)
-                  ? data[static_cast<std::size_t>(gr) * cols + gc]
-                  : 0.0F;
-        }
-      }
-      m.blocks.push_back(quantize_block(tile, fmt, round));
+      const int c0 = bc * fmt.cols;
+      m.blocks.emplace_back(fmt);
+      quantize_tile(data.data() + static_cast<std::size_t>(r0) * cols + c0,
+                    static_cast<std::size_t>(cols),
+                    std::min(fmt.rows, rows - r0),
+                    std::min(fmt.cols, cols - c0), fmt, round,
+                    m.blocks.back());
     }
   }
   return m;

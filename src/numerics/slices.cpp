@@ -105,18 +105,39 @@ float fp32_mul_sliced(float x, float y, bool round_nearest_even) {
   return compose_normalized(sign, be, sum, round_nearest_even);
 }
 
+namespace {
+
+/// Effective biased exponent (subnormals at 1, as decompose() reports them)
+/// and sign-folded 24-bit mantissa of a finite fp32, read from its bits.
+struct AlignOperand {
+  std::int32_t exp;
+  std::int64_t man;
+};
+
+inline AlignOperand align_operand(std::uint32_t bits) {
+  const std::uint32_t exp_field = (bits >> kFp32FracBits) & 0xFFU;
+  const std::uint32_t hidden = exp_field != 0 ? (1U << kFp32FracBits) : 0U;
+  const auto mag = static_cast<std::int64_t>(
+      (bits & static_cast<std::uint32_t>(low_mask(kFp32FracBits))) | hidden);
+  return {exp_field != 0 ? static_cast<std::int32_t>(exp_field) : 1,
+          (bits >> 31) != 0 ? -mag : mag};
+}
+
+}  // namespace
+
 float fp32_add_aligned(float x, float y, bool round_nearest_even,
                        int acc_bits) {
-  const Fp32Parts px = decompose(x);
-  const Fp32Parts py = decompose(y);
-  BFP_REQUIRE(!px.is_nan && !px.is_inf && !py.is_nan && !py.is_inf,
+  const std::uint32_t bx = float_to_bits(x);
+  const std::uint32_t by = float_to_bits(y);
+  constexpr std::uint32_t kExpMask = 0xFFU << kFp32FracBits;
+  BFP_REQUIRE((bx & kExpMask) != kExpMask && (by & kExpMask) != kExpMask,
               "fp32_add_aligned: NaN/Inf operands are not supported by the "
               "accelerator datapath");
+  const AlignOperand px = align_operand(bx);
+  const AlignOperand py = align_operand(by);
   // Align the smaller exponent's signed mantissa right (Eqn 6).
-  const std::int32_t e = std::max(px.biased_exp, py.biased_exp);
-  const std::int64_t mx = asr(px.signed_mantissa(), e - px.biased_exp);
-  const std::int64_t my = asr(py.signed_mantissa(), e - py.biased_exp);
-  const std::int64_t s = mx + my;
+  const std::int32_t e = std::max(px.exp, py.exp);
+  const std::int64_t s = asr(px.man, e - px.exp) + asr(py.man, e - py.exp);
   BFP_REQUIRE(fits_signed(s, acc_bits),
               "fp32_add_aligned: accumulator overflow");
   const bool sign = s < 0;

@@ -237,30 +237,36 @@ TEST(BfpGemmReference, MatchesDoubleGemmClosely) {
 /// ------- parent-pinned quantizer digests (captured once, never
 /// regenerated: a quantizer rewrite must reproduce these bits exactly) -----
 
-/// FNV-1a over a block: shared exponent then every mantissa, little-endian.
-std::uint64_t fnv1a_block(const BfpBlock& b, std::uint64_t h) {
-  auto byte = [&h](std::uint8_t x) {
-    h ^= x;
-    h *= 0x100000001b3ULL;
-  };
-  const auto e = static_cast<std::uint32_t>(b.expb);
-  for (int i = 0; i < 4; ++i) byte(static_cast<std::uint8_t>(e >> (8 * i)));
-  for (const std::int16_t m : b.man) {
-    const auto u = static_cast<std::uint16_t>(m);
-    byte(static_cast<std::uint8_t>(u));
-    byte(static_cast<std::uint8_t>(u >> 8));
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv1a_byte(std::uint8_t x, std::uint64_t h) {
+  return (h ^ x) * 0x100000001b3ULL;
+}
+
+/// FNV-1a over a 32-bit word, little-endian.
+std::uint64_t fnv1a_u32(std::uint32_t v, std::uint64_t h) {
+  for (int i = 0; i < 4; ++i) {
+    h = fnv1a_byte(static_cast<std::uint8_t>(v >> (8 * i)), h);
   }
   return h;
 }
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+/// FNV-1a over a block: shared exponent then every mantissa, little-endian.
+std::uint64_t fnv1a_block(const BfpBlock& b, std::uint64_t h) {
+  h = fnv1a_u32(static_cast<std::uint32_t>(b.expb), h);
+  for (const std::int16_t m : b.man) {
+    const auto u = static_cast<std::uint16_t>(m);
+    h = fnv1a_byte(static_cast<std::uint8_t>(u), h);
+    h = fnv1a_byte(static_cast<std::uint8_t>(u >> 8), h);
+  }
+  return h;
+}
 
-/// Padded dims, then every block in grid order.
+/// A zero word, the padded dims as rows * 2^16 + cols, then every block in
+/// grid order.
 std::uint64_t fnv1a_matrix(const BfpMatrix& m) {
-  std::uint64_t h = fnv1a_block(BfpBlock{}, kFnvOffset);
-  BfpBlock dims;
-  dims.expb = m.rows * 65536 + m.cols;
-  h = fnv1a_block(dims, h);
+  std::uint64_t h = fnv1a_u32(0, kFnvOffset);
+  h = fnv1a_u32(static_cast<std::uint32_t>(m.rows * 65536 + m.cols), h);
   for (const BfpBlock& b : m.blocks) h = fnv1a_block(b, h);
   return h;
 }

@@ -11,11 +11,13 @@
 // golden scalar model must agree bit-for-bit on every output float.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -33,9 +35,35 @@ namespace {
 /// ----------------- independent scalar golden model -----------------
 
 constexpr int kEdge = 8;                 // bfp8 block edge
-constexpr std::int64_t kManMax = 127;    // symmetric 8-bit mantissa range
-constexpr int kExpMin = -128;            // 8-bit two's-complement exponent
-constexpr int kExpMax = 127;
+
+/// A block format restated from the documented contract: two's-complement
+/// mantissa and shared-exponent widths, an optional symmetric mantissa range
+/// (excluding -2^(b-1)), and the block geometry. Defaults are bfp8.
+struct GoldenFormat {
+  int mant_bits = 8;
+  int exp_bits = 8;
+  int rows = kEdge;
+  int cols = kEdge;
+  bool symmetric = true;
+
+  std::int64_t man_max() const {
+    return (std::int64_t{1} << (mant_bits - 1)) - 1;
+  }
+  std::int64_t man_min() const {
+    return symmetric ? -man_max() : -(std::int64_t{1} << (mant_bits - 1));
+  }
+  int exp_min() const { return -(1 << (exp_bits - 1)); }
+  int exp_max() const { return (1 << (exp_bits - 1)) - 1; }
+  BfpFormat to_bfp() const {
+    BfpFormat f;
+    f.mant_bits = mant_bits;
+    f.exp_bits = exp_bits;
+    f.rows = rows;
+    f.cols = cols;
+    f.symmetric = symmetric;
+    return f;
+  }
+};
 
 // BFPSIM_FAST_TESTS (set for the "long" ctest label under TSan CI) shrinks
 // the seeded sweeps: same case families and seeds, fewer draws.
@@ -44,11 +72,13 @@ constexpr int kGemmFuzzCases = 14;
 constexpr int kTierFuzzCases = 16;
 constexpr int kTileFuzzCases = 60;
 constexpr int kSlicedRandomCases = 4000;
+constexpr int kQuantFormatCases = 60;
 #else
 constexpr int kGemmFuzzCases = 50;
 constexpr int kTierFuzzCases = 48;
 constexpr int kTileFuzzCases = 240;
 constexpr int kSlicedRandomCases = 20000;
+constexpr int kQuantFormatCases = 240;
 #endif
 
 /// Scalar mirror of the documented per-element rounding.
@@ -74,13 +104,15 @@ std::int64_t golden_asr(std::int64_t v, int shift) {
 /// A quantized matrix in flat form: padded mantissa grid + per-tile
 /// exponents. No block objects.
 struct GoldenQuant {
-  int rows = 0;  ///< padded to a multiple of kEdge
-  int cols = 0;
+  GoldenFormat fmt;
+  int rows = 0;  ///< padded to a multiple of fmt.rows
+  int cols = 0;  ///< padded to a multiple of fmt.cols
+  bool too_large = false;         ///< some tile fits no exponent <= exp_max
   std::vector<int> expb;          ///< tile grid, row-major
   std::vector<std::int64_t> man;  ///< rows x cols, row-major
 
-  int tile_rows() const { return rows / kEdge; }
-  int tile_cols() const { return cols / kEdge; }
+  int tile_rows() const { return rows / fmt.rows; }
+  int tile_cols() const { return cols / fmt.cols; }
   int tile_exp(int tr, int tc) const {
     return expb[static_cast<std::size_t>(tr * tile_cols() + tc)];
   }
@@ -89,48 +121,55 @@ struct GoldenQuant {
   }
 };
 
-/// Quantize per the documented contract: per 8x8 tile of the zero-padded
+/// Quantize per the documented contract: per tile of the zero-padded
 /// matrix, the shared exponent is the smallest e such that every
-/// round(v * 2^-e) fits [-127, 127]; an all-zero tile gets the exponent
-/// floor. Search starts at the floor and walks up — no analytic shortcut,
-/// so a bug in the library's estimate-and-nudge search would be caught.
+/// round(v * 2^-e) fits [man_min, man_max]; an all-zero tile gets the
+/// exponent floor. Search starts at the floor and walks up, testing every
+/// element — no analytic start and no extremes shortcut, so a bug in the
+/// library's search would be caught. A tile that fits no exponent up to
+/// exp_max marks the whole matrix too_large (the library must throw).
 GoldenQuant golden_quantize(const std::vector<float>& data, int rows,
-                            int cols, RoundMode mode) {
+                            int cols, RoundMode mode,
+                            const GoldenFormat& fmt = {}) {
   GoldenQuant q;
-  q.rows = ((rows + kEdge - 1) / kEdge) * kEdge;
-  q.cols = ((cols + kEdge - 1) / kEdge) * kEdge;
+  q.fmt = fmt;
+  q.rows = ((rows + fmt.rows - 1) / fmt.rows) * fmt.rows;
+  q.cols = ((cols + fmt.cols - 1) / fmt.cols) * fmt.cols;
   q.expb.assign(static_cast<std::size_t>(q.tile_rows()) * q.tile_cols(), 0);
   q.man.assign(static_cast<std::size_t>(q.rows) * q.cols, 0);
 
-  std::vector<double> tile(kEdge * kEdge);
+  std::vector<double> tile(static_cast<std::size_t>(fmt.rows * fmt.cols));
   for (int tr = 0; tr < q.tile_rows(); ++tr) {
     for (int tc = 0; tc < q.tile_cols(); ++tc) {
       bool all_zero = true;
-      for (int r = 0; r < kEdge; ++r) {
-        for (int c = 0; c < kEdge; ++c) {
-          const int gr = tr * kEdge + r;
-          const int gc = tc * kEdge + c;
+      for (int r = 0; r < fmt.rows; ++r) {
+        for (int c = 0; c < fmt.cols; ++c) {
+          const int gr = tr * fmt.rows + r;
+          const int gc = tc * fmt.cols + c;
           const double v = (gr < rows && gc < cols)
               ? static_cast<double>(
                     data[static_cast<std::size_t>(gr) * cols + gc])
               : 0.0;
-          tile[static_cast<std::size_t>(r * kEdge + c)] = v;
+          tile[static_cast<std::size_t>(r * fmt.cols + c)] = v;
           if (v != 0.0) all_zero = false;
         }
       }
       const std::size_t t =
           static_cast<std::size_t>(tr * q.tile_cols() + tc);
       if (all_zero) {
-        q.expb[t] = kExpMin;
+        q.expb[t] = fmt.exp_min();
         continue;
       }
-      int e = kExpMin;
+      int e = fmt.exp_min();
       for (;; ++e) {
-        EXPECT_LE(e, kExpMax) << "value exceeds bfp8 exponent range";
+        if (e > fmt.exp_max()) {
+          q.too_large = true;
+          return q;
+        }
         bool fits = true;
         for (double v : tile) {
           const std::int64_t m = golden_round(std::ldexp(v, -e), mode);
-          if (m < -kManMax || m > kManMax) {
+          if (m < fmt.man_min() || m > fmt.man_max()) {
             fits = false;
             break;
           }
@@ -138,12 +177,12 @@ GoldenQuant golden_quantize(const std::vector<float>& data, int rows,
         if (fits) break;
       }
       q.expb[t] = e;
-      for (int r = 0; r < kEdge; ++r) {
-        for (int c = 0; c < kEdge; ++c) {
-          q.man[static_cast<std::size_t>(tr * kEdge + r) * q.cols +
-                (tc * kEdge + c)] =
+      for (int r = 0; r < fmt.rows; ++r) {
+        for (int c = 0; c < fmt.cols; ++c) {
+          q.man[static_cast<std::size_t>(tr * fmt.rows + r) * q.cols +
+                (tc * fmt.cols + c)] =
               golden_round(
-                  std::ldexp(tile[static_cast<std::size_t>(r * kEdge + c)],
+                  std::ldexp(tile[static_cast<std::size_t>(r * fmt.cols + c)],
                              -e),
                   mode);
         }
@@ -167,6 +206,8 @@ struct GoldenGemm {
 /// carrier, final dequantization through double.
 GoldenGemm golden_gemm(const GoldenQuant& a, const GoldenQuant& b, int m,
                        int n) {
+  EXPECT_FALSE(a.too_large || b.too_large)
+      << "value exceeds bfp8 exponent range";
   GoldenGemm g;
   g.c.assign(static_cast<std::size_t>(m) * n, 0.0F);
   g.tile_cols = b.tile_cols();
@@ -279,39 +320,198 @@ std::vector<float> exponent_skew_operand(Rng& rng, int rows, int cols,
 
 /// ----------------- satellite 1: golden MatMul differential -----------------
 
+/// Library quantize_matrix against golden_quantize on one matrix: every
+/// shared exponent and mantissa equal, or both sides refusing a value too
+/// large for the exponent range.
+void expect_quantizer_matches_golden(const std::vector<float>& data, int rows,
+                                     int cols, const GoldenFormat& gf,
+                                     RoundMode mode) {
+  const GoldenQuant gq = golden_quantize(data, rows, cols, mode, gf);
+  const std::string where =
+      "mant_bits=" + std::to_string(gf.mant_bits) +
+      " exp_bits=" + std::to_string(gf.exp_bits) + " block=" +
+      std::to_string(gf.rows) + "x" + std::to_string(gf.cols) +
+      (gf.symmetric ? " symmetric" : " asymmetric") + " round=" +
+      std::to_string(static_cast<int>(mode)) + " matrix=" +
+      std::to_string(rows) + "x" + std::to_string(cols);
+  if (gq.too_large) {
+    try {
+      (void)quantize_matrix(data, rows, cols, gf.to_bfp(), mode);
+      ADD_FAILURE() << where << ": expected a value-too-large throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("value too large"),
+                std::string::npos)
+          << where << ": " << e.what();
+    }
+    return;
+  }
+  const BfpMatrix lib = quantize_matrix(data, rows, cols, gf.to_bfp(), mode);
+  ASSERT_EQ(lib.rows, gq.rows) << where;
+  ASSERT_EQ(lib.cols, gq.cols) << where;
+  for (int tr = 0; tr < gq.tile_rows(); ++tr) {
+    for (int tc = 0; tc < gq.tile_cols(); ++tc) {
+      const BfpBlock& blk = lib.block(tr, tc);
+      ASSERT_EQ(blk.expb, gq.tile_exp(tr, tc))
+          << where << " tile (" << tr << "," << tc << ")";
+      for (int r = 0; r < gf.rows; ++r) {
+        for (int c = 0; c < gf.cols; ++c) {
+          ASSERT_EQ(static_cast<std::int64_t>(blk.at(r, c)),
+                    gq.at(tr * gf.rows + r, tc * gf.cols + c))
+              << where << " tile (" << tr << "," << tc << ") elem (" << r
+              << "," << c << ")";
+        }
+      }
+    }
+  }
+}
+
+/// A matrix of one of the quantizer's case families for format `gf`:
+/// 0 mixed per-row scales around 2^k, 1 zeros and float subnormals,
+/// 2 values far below the exponent floor, 3 extremes placed exactly at
+/// and beside the mantissa rounding boundaries, 4 all zero.
+std::vector<float> quantizer_case(Rng& rng, int family, int rows, int cols,
+                                  const GoldenFormat& gf) {
+  const auto n = static_cast<std::size_t>(rows) * cols;
+  std::vector<float> v(n, 0.0F);
+  // Data exponents from well inside the range to just past exp_max, so a
+  // share of cases must be refused as too large. Clamped to floats.
+  const int k_lo = std::max(-126, gf.exp_min() + gf.mant_bits - 8);
+  const int k_hi = std::min(120, gf.exp_max() + gf.mant_bits - 2);
+  switch (family) {
+    case 0: {
+      const int k = static_cast<int>(rng.uniform_int(k_lo, k_hi));
+      for (int r = 0; r < rows; ++r) {
+        const int row_k = k + static_cast<int>(rng.uniform_int(-6, 6));
+        for (int c = 0; c < cols; ++c) {
+          v[static_cast<std::size_t>(r) * cols + c] =
+              std::ldexp(rng.normal(0.0F, 1.0F), std::min(row_k, 126));
+        }
+      }
+      break;
+    }
+    case 1:
+      v = zero_denormal_operand(rng, rows, cols);
+      break;
+    case 2:
+      for (auto& x : v) {
+        x = std::ldexp(rng.normal(0.0F, 1.0F),
+                       std::max(-149, gf.exp_min() - 4 -
+                                          static_cast<int>(
+                                              rng.uniform_int(0, 20))));
+      }
+      break;
+    case 3: {
+      // Every element is +/-(man_max + f) * 2^j or (man_min - f) * 2^j with
+      // f in {0, 1/4, 1/2, 3/4}: exactly the values where a start estimate
+      // that ignores the rounding mode or the asymmetric range overshoots.
+      const int j =
+          static_cast<int>(rng.uniform_int(std::max(k_lo, -100),
+                                           std::min(k_hi, 100)));
+      for (auto& x : v) {
+        const double f = 0.25 * static_cast<double>(rng.uniform_int(0, 3));
+        const bool neg = rng.bernoulli(0.5);
+        const double m = neg ? static_cast<double>(gf.man_min()) - f
+                             : static_cast<double>(gf.man_max()) + f;
+        x = static_cast<float>(std::ldexp(
+            m, j - static_cast<int>(rng.uniform_int(0, 2))));
+      }
+      break;
+    }
+    default:
+      break;
+  }
+  return v;
+}
+
 TEST(GoldenDiff, QuantizerMantissaExponentEquality) {
   // The golden scalar quantizer and the library quantizer must agree on
-  // every mantissa and every shared exponent, for all rounding modes,
-  // including all-zero tiles, padded edges, negatives, and wide scales.
+  // every mantissa and every shared exponent, for any BfpFormat and all
+  // rounding modes: non-square blocks, asymmetric ranges, all-zero tiles,
+  // padded edges, float subnormals, exponent-floor tiles, rounding-boundary
+  // extremes, and the value-too-large refusal.
+  std::vector<GoldenFormat> formats{
+      {},                       // bfp8
+      {8, 8, 4, 16, true},      {8, 8, 16, 4, true},
+      {8, 8, 8, 8, false},      {2, 4, 2, 2, true},
+      {2, 4, 3, 5, false},      {16, 10, 8, 8, true},
+      {16, 10, 1, 64, false},   {12, 5, 4, 4, true},
+  };
   Rng rng(401);
-  const BfpFormat fmt = bfp8_format();
-  for (const RoundMode mode : {RoundMode::kNearestEven, RoundMode::kTruncate,
-                               RoundMode::kHalfAway}) {
-    for (int trial = 0; trial < 12; ++trial) {
+  while (static_cast<int>(formats.size()) < kQuantFormatCases / 4) {
+    GoldenFormat f;
+    f.mant_bits = static_cast<int>(rng.uniform_int(2, 16));
+    f.exp_bits = static_cast<int>(rng.uniform_int(4, 10));
+    f.rows = static_cast<int>(rng.uniform_int(1, 16));
+    f.cols = static_cast<int>(rng.uniform_int(1, 16));
+    f.symmetric = rng.bernoulli(0.5);
+    formats.push_back(f);
+  }
+  for (const GoldenFormat& gf : formats) {
+    for (const RoundMode mode : {RoundMode::kNearestEven, RoundMode::kTruncate,
+                                 RoundMode::kHalfAway}) {
+      for (int family = 0; family < 5; ++family) {
+        const int rows = static_cast<int>(rng.uniform_int(1, 2 * gf.rows + 3));
+        const int cols = static_cast<int>(rng.uniform_int(1, 2 * gf.cols + 3));
+        const std::vector<float> data =
+            quantizer_case(rng, family, rows, cols, gf);
+        expect_quantizer_matches_golden(data, rows, cols, gf, mode);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(GoldenDiff, QuantizerBoundaryExtremesTakeSmallestExponent) {
+  // Both reproductions of a start estimate ceil(log2(max|v| / (man_max +
+  // 0.5))) overshooting the smallest fitting exponent by one.
+  BfpFormat fmt = bfp8_format();
+  std::vector<float> tile(64, 0.0F);
+  tile[5] = 127.7F;  // truncates to 127 at expb 0
+  const BfpBlock t = quantize_block(tile, fmt, RoundMode::kTruncate);
+  EXPECT_EQ(t.expb, 0);
+  EXPECT_EQ(t.at(0, 5), 127);
+
+  fmt.symmetric = false;  // mantissas in [-128, 127]
+  tile[5] = -128.2F;      // rounds to -128 at expb 0
+  const BfpBlock a = quantize_block(tile, fmt, RoundMode::kNearestEven);
+  EXPECT_EQ(a.expb, 0);
+  EXPECT_EQ(a.at(0, 5), -128);
+
+  // Both agree with the golden's exhaustive search.
+  for (const float v : {127.7F, -128.2F}) {
+    std::vector<float> m(64, 0.0F);
+    m[5] = v;
+    GoldenFormat gf;
+    gf.symmetric = v > 0.0F;
+    expect_quantizer_matches_golden(
+        m, 8, 8, gf, v > 0.0F ? RoundMode::kTruncate : RoundMode::kNearestEven);
+  }
+}
+
+TEST(GoldenDiff, QuantizerRejectsNonFiniteAnywhere) {
+  // NaN and +/-Inf are refused wherever they sit in the matrix, including
+  // tiles that would otherwise be all zero or too large.
+  Rng rng(402);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity()}) {
+    for (int trial = 0; trial < 8; ++trial) {
       const int rows = static_cast<int>(rng.uniform_int(1, 20));
       const int cols = static_cast<int>(rng.uniform_int(1, 20));
-      std::vector<float> data = mixed_scale_operand(rng, rows, cols);
-      if (trial % 4 == 0 && !data.empty()) data[0] = 0.0F;
-      if (trial % 5 == 0) {
-        for (auto& v : data) v = 0.0F;  // all-zero: exponent-floor case
-      }
-      const GoldenQuant gq = golden_quantize(data, rows, cols, mode);
-      const BfpMatrix lib = quantize_matrix(data, rows, cols, fmt, mode);
-      ASSERT_EQ(lib.rows, gq.rows);
-      ASSERT_EQ(lib.cols, gq.cols);
-      for (int tr = 0; tr < gq.tile_rows(); ++tr) {
-        for (int tc = 0; tc < gq.tile_cols(); ++tc) {
-          const BfpBlock& blk = lib.block(tr, tc);
-          ASSERT_EQ(blk.expb, gq.tile_exp(tr, tc))
-              << "tile (" << tr << "," << tc << ")";
-          for (int r = 0; r < kEdge; ++r) {
-            for (int c = 0; c < kEdge; ++c) {
-              ASSERT_EQ(static_cast<std::int64_t>(blk.at(r, c)),
-                        gq.at(tr * kEdge + r, tc * kEdge + c))
-                  << "tile (" << tr << "," << tc << ") elem (" << r << ","
-                  << c << ")";
-            }
-          }
+      std::vector<float> data(static_cast<std::size_t>(rows) * cols, 0.0F);
+      if (trial % 2 == 1) data = mixed_scale_operand(rng, rows, cols);
+      data[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(data.size()) - 1))] =
+          bad;
+      for (const RoundMode mode :
+           {RoundMode::kNearestEven, RoundMode::kTruncate,
+            RoundMode::kHalfAway}) {
+        try {
+          (void)quantize_matrix(data, rows, cols, bfp8_format(), mode);
+          ADD_FAILURE() << "non-finite input accepted";
+        } catch (const Error& e) {
+          EXPECT_NE(std::string(e.what()).find("NaN/Inf"), std::string::npos)
+              << e.what();
         }
       }
     }

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 
+#include "common/bitops.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "dsp/dsp48e2.hpp"
@@ -189,6 +190,121 @@ TEST(AlignedAdd, LargeExponentGapReturnsLargerOperand) {
   const float small = 1.0e-20F;
   EXPECT_FLOAT_EQ(fp32_add_aligned(big, small), big);
   EXPECT_FLOAT_EQ(fp32_add_aligned(small, big), big);
+}
+
+/// The aligned add as first written: both operands through decompose(),
+/// the smaller exponent's signed mantissa shifted right. Sets `threw`
+/// instead of throwing on NaN/Inf operands or accumulator overflow.
+float aligned_add_mirror(float x, float y, bool rne, int acc_bits,
+                         bool* threw) {
+  *threw = false;
+  const Fp32Parts px = decompose(x);
+  const Fp32Parts py = decompose(y);
+  if (px.is_nan || px.is_inf || py.is_nan || py.is_inf) {
+    *threw = true;
+    return 0.0F;
+  }
+  const std::int32_t e = std::max(px.biased_exp, py.biased_exp);
+  const std::int64_t s = asr(px.signed_mantissa(), e - px.biased_exp) +
+                         asr(py.signed_mantissa(), e - py.biased_exp);
+  if (!fits_signed(s, acc_bits)) {
+    *threw = true;
+    return 0.0F;
+  }
+  const bool sign = s < 0;
+  return compose_normalized(
+      sign, e, sign ? static_cast<std::uint64_t>(-s) : static_cast<std::uint64_t>(s),
+      rne);
+}
+
+/// A random fp32 of the given exponent field (0 = zero or subnormal).
+float fp32_with_exp_field(Rng& rng, std::uint32_t exp_field) {
+  return bits_to_float((rng.bits32() & 0x807FFFFFU) | (exp_field << 23));
+}
+
+TEST(AlignedAdd, BitFieldDecodeMatchesDecomposeMirror) {
+  // 10^6 operand pairs, bit-for-bit (or throw-for-throw) against the
+  // decompose()-based mirror: fully random finite pairs, near exponents,
+  // exact and near-exact cancellation, subnormals, zeros of both signs,
+  // large exponent skew, specials, and narrow accumulators that overflow.
+  Rng rng(2601);
+  for (int i = 0; i < 1000000; ++i) {
+    float x = 0.0F;
+    float y = 0.0F;
+    switch (i % 8) {
+      case 0:
+        x = random_finite_fp32(rng);
+        y = random_finite_fp32(rng);
+        break;
+      case 1: {
+        const auto e = static_cast<std::uint32_t>(rng.uniform_int(1, 251));
+        x = fp32_with_exp_field(rng, e);
+        y = fp32_with_exp_field(
+            rng, e + static_cast<std::uint32_t>(rng.uniform_int(0, 3)));
+        break;
+      }
+      case 2:
+        x = random_finite_fp32(rng);
+        y = rng.bernoulli(0.5)
+                ? -x
+                : bits_to_float(float_to_bits(-x) +
+                                static_cast<std::uint32_t>(
+                                    rng.uniform_int(0, 2)));
+        if (!std::isfinite(y)) y = -x;
+        break;
+      case 3:
+        x = fp32_with_exp_field(rng, 0);
+        y = rng.bernoulli(0.5) ? fp32_with_exp_field(rng, 0)
+                               : fp32_with_exp_field(rng, 1);
+        break;
+      case 4:
+        x = fp32_with_exp_field(
+            rng, static_cast<std::uint32_t>(rng.uniform_int(0, 30)));
+        y = fp32_with_exp_field(
+            rng, static_cast<std::uint32_t>(rng.uniform_int(200, 254)));
+        if (rng.bernoulli(0.5)) std::swap(x, y);
+        break;
+      case 5:
+        x = rng.bernoulli(0.5) ? 0.0F : -0.0F;
+        y = rng.bernoulli(0.5) ? random_finite_fp32(rng)
+                               : (rng.bernoulli(0.5) ? 0.0F : -0.0F);
+        break;
+      case 6: {
+        // Throwing is slow; one pair in 128 carries a NaN or Inf.
+        x = random_finite_fp32(rng);
+        y = random_finite_fp32(rng);
+        if (i % 128 == 6) {
+          x = bits_to_float((rng.bernoulli(0.5) ? 0x7F800000U : 0x7FC00001U) |
+                            (rng.bits32() & 0x80000000U));
+          if (rng.bernoulli(0.5)) std::swap(x, y);
+        }
+        break;
+      }
+      default:
+        x = random_normal_fp32(rng, 100, 150);
+        y = random_normal_fp32(rng, 100, 150);
+        break;
+    }
+    const bool rne = rng.bernoulli(0.5);
+    const int acc_bits = (i % 16 == 7) ? static_cast<int>(rng.uniform_int(25, 27))
+                                       : 32;
+    bool mirror_threw = false;
+    const float want = aligned_add_mirror(x, y, rne, acc_bits, &mirror_threw);
+    bool threw = false;
+    float got = 0.0F;
+    try {
+      got = fp32_add_aligned(x, y, rne, acc_bits);
+    } catch (const Error&) {
+      threw = true;
+    }
+    ASSERT_EQ(threw, mirror_threw)
+        << fp32_fields(x) << " + " << fp32_fields(y) << " acc_bits "
+        << acc_bits;
+    if (!threw) {
+      ASSERT_EQ(float_to_bits(got), float_to_bits(want))
+          << fp32_fields(x) << " + " << fp32_fields(y) << " rne " << rne;
+    }
+  }
 }
 
 }  // namespace
