@@ -73,33 +73,6 @@ bool find_json_number(const std::string& doc, const std::string& anchor,
   return true;
 }
 
-/// Fastest per-rep wall time over several timing chunks, self-scaled to
-/// about `target_s` from one probe run. Scheduler and frequency noise only
-/// ever add time, so the minimum is the stable estimator — this is what
-/// keeps the 20% regression gate from tripping on host jitter.
-template <typename F>
-double min_wall_per_rep(F&& run_once, double target_s, int* reps_out) {
-  const Clock::time_point p0 = Clock::now();
-  run_once();
-  const double probe_s = seconds_since(p0);
-  int reps = static_cast<int>(target_s / (probe_s > 1e-9 ? probe_s : 1e-9));
-  if (reps < 3) reps = 3;
-  if (reps > 2000) reps = 2000;
-  constexpr int kChunks = 5;
-  const int chunk_reps = reps < kChunks ? 1 : reps / kChunks;
-  double wall_per_rep = 0.0;
-  int total_reps = 0;
-  while (total_reps < reps) {
-    const Clock::time_point t0 = Clock::now();
-    for (int r = 0; r < chunk_reps; ++r) run_once();
-    const double chunk = seconds_since(t0) / chunk_reps;
-    if (wall_per_rep == 0.0 || chunk < wall_per_rep) wall_per_rep = chunk;
-    total_reps += chunk_reps;
-  }
-  *reps_out = reps;
-  return wall_per_rep;
-}
-
 /// Fastest per-rep wall times of two workloads timed in alternating chunks
 /// (each chunk about 1/20 of `target_s`), so that host drift during the
 /// measurement reaches both and cancels in their ratio.
@@ -215,9 +188,6 @@ int main(int argc, char** argv) {
     baseline = ss.str();
   }
 
-  // Smoke still spends 0.2s per point: any shorter and the minimum's
-  // chunks are ~1ms, where scheduler noise swamps the 20% gate.
-  const double target_s = smoke ? 0.2 : 0.3;
   // The quantize share is a ratio of two ~0.1 ms timings and needs the same
   // budget in smoke and full runs to compare against one baseline.
   constexpr double kQuantizeShareTargetS = 0.6;
@@ -260,9 +230,33 @@ int main(int argc, char** argv) {
                      v.name.c_str());
         gate_failed = true;
       }
-      int reps = 0;
-      const double wall_per_rep =
-          min_wall_per_rep([&] { (void)run_once(); }, target_s, &reps);
+      // Self-scale reps: aim for ~0.3s (0.05s smoke) per point based on a
+      // single probe of this variant.
+      const Clock::time_point p0 = Clock::now();
+      (void)run_once();
+      const double probe_s = seconds_since(p0);
+      // Smoke still spends 0.2s per point: any shorter and the minimum's
+      // chunks are ~1ms, where scheduler noise swamps the 20% gate.
+      const double target_s = smoke ? 0.2 : 0.3;
+      int reps = static_cast<int>(target_s / (probe_s > 1e-9 ? probe_s : 1e-9));
+      if (reps < 3) reps = 3;
+      if (reps > 2000) reps = 2000;
+
+      // Take the fastest of several timing chunks rather than one mean:
+      // scheduler/frequency noise only ever adds time, so the minimum is
+      // the stable estimator — this is what keeps the 20% regression gate
+      // from tripping on host jitter.
+      constexpr int kChunks = 5;
+      const int chunk_reps = reps < kChunks ? 1 : reps / kChunks;
+      double wall_per_rep = 0.0;
+      int total_reps = 0;
+      while (total_reps < reps) {
+        const Clock::time_point t0 = Clock::now();
+        for (int r = 0; r < chunk_reps; ++r) (void)run_once();
+        const double chunk = seconds_since(t0) / chunk_reps;
+        if (wall_per_rep == 0.0 || chunk < wall_per_rep) wall_per_rep = chunk;
+        total_reps += chunk_reps;
+      }
       if (v.is_reference) ref_wall_per_rep = wall_per_rep;
       const double speedup =
           v.is_reference ? 1.0 : ref_wall_per_rep / wall_per_rep;
@@ -314,17 +308,17 @@ int main(int argc, char** argv) {
         },
         kQuantizeShareTargetS);
     const double share = quant_wall / (quant_wall + gemm_wall);
+    const int elems = s.m * s.k + s.k * s.n;
     const std::string anchor =
         "\"shape\":\"" + s.str() + "\",\"variant\":\"quantize\"";
-    quantize_points << ",{" << anchor << ",\"elements_per_rep\":"
-                    << s.m * s.k + s.k * s.n << ",\"quantize_ms_per_rep\":" << 1e3 * quant_wall
+    quantize_points << ",{" << anchor << ",\"elements_per_rep\":" << elems
+                    << ",\"quantize_ms_per_rep\":" << 1e3 * quant_wall
                     << ",\"gemm_ms_per_rep\":" << 1e3 * gemm_wall
                     << ",\"quantize_share\":" << share << "}";
     std::fprintf(stderr,
                  "  gemm %-12s quantize  %8.3f ms/rep  (%.2f ns/elem)  "
                  "share of quantize+%s gemm %.3f\n",
-                 s.str().c_str(), 1e3 * quant_wall,
-                 1e9 * quant_wall / (s.m * s.k + s.k * s.n),
+                 s.str().c_str(), 1e3 * quant_wall, 1e9 * quant_wall / elems,
                  to_string(best_kernel_tier()), share);
     if (!baseline.empty()) {
       double base_share = 0.0;

@@ -476,16 +476,6 @@ TEST(GoldenDiff, QuantizerBoundaryExtremesTakeSmallestExponent) {
   const BfpBlock a = quantize_block(tile, fmt, RoundMode::kNearestEven);
   EXPECT_EQ(a.expb, 0);
   EXPECT_EQ(a.at(0, 5), -128);
-
-  // Both agree with the golden's exhaustive search.
-  for (const float v : {127.7F, -128.2F}) {
-    std::vector<float> m(64, 0.0F);
-    m[5] = v;
-    GoldenFormat gf;
-    gf.symmetric = v > 0.0F;
-    expect_quantizer_matches_golden(
-        m, 8, 8, gf, v > 0.0F ? RoundMode::kTruncate : RoundMode::kNearestEven);
-  }
 }
 
 TEST(GoldenDiff, QuantizerRejectsNonFiniteAnywhere) {
