@@ -34,12 +34,14 @@ void tile_product_avx2(const std::int16_t* x, const std::int16_t* y,
 /// loop for the degenerate huge-skew shifts asr() clamps).
 bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
                     std::size_t n, int shift_acc, int shift_p, int psu_bits);
-/// 8x8 product over pair-interleaved Y (interleave_tile8) fused with the
-/// PSU merge (init = first k-block). Shifts in [0, 62]; returns the
-/// overflow flag.
-bool tile8_fused_avx2(const std::int16_t* x, const std::int16_t* yi,
-                      int rows, std::int64_t* acc, int shift_acc,
-                      int shift_p, int psu_bits, bool init);
+/// One 8x8x8 output tile's whole k-reduction with an int32 PSU carrier
+/// (psu_bits <= 32, and in [8, 32] whenever bks >= 2). `x` is the tile's
+/// row of A blocks; `yi`/`yexp` its column of B tiles, pair-interleaved
+/// (interleave_tile8) and contiguous in bk. Writes the tile's wide
+/// mantissas and exponent; returns the overflow flag.
+bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
+                       const std::int32_t* yexp, int bks, int psu_bits,
+                       std::int64_t* out, std::int32_t* out_exp);
 }  // namespace detail
 #endif
 
@@ -229,15 +231,15 @@ bool int32_safe(int mant_bits_sum, int kk) {
 struct Resolved {
   TileFn fn = tile_product_scalar;
   bool transpose = false;
-  /// AVX2 + 8x8 tiles: the GEMM may use the fused product+merge kernel.
-  bool fused8 = false;
+  /// AVX2 + 8x8x8 tiles: the GEMM may use the int32 reduce kernel.
+  bool tile8 = false;
   KernelTier effective = KernelTier::kScalar;
 };
 
 /// Pick the implementation for a (mantissa-width, inner-dim) pair:
 /// degrades kSimd -> kBlocked when the vector path cannot serve the
 /// format, never the other way.
-Resolved resolve_kernel(int mant_bits_sum, int kk, int cols,
+Resolved resolve_kernel(int mant_bits_sum, int rows, int kk, int cols,
                         KernelTier requested) {
   Resolved r;
   if (requested == KernelTier::kScalar) return r;
@@ -249,7 +251,7 @@ Resolved resolve_kernel(int mant_bits_sum, int kk, int cols,
       r.fn = detail::tile_product_avx2;
       // The 8x8 fast path is fully vertical over row-major Y.
       r.transpose = !(kk == 8 && cols == 8);
-      r.fused8 = !r.transpose;
+      r.tile8 = !r.transpose && rows == 8;
       r.effective = KernelTier::kSimd;
       return r;
     }
@@ -284,7 +286,7 @@ void transpose_tile(const std::int16_t* y, int kk, int cols,
 }
 
 #if BFPSIM_KERNEL_AVX2
-/// Stage one 8x8 tile pair-interleaved for the fused AVX2 kernel: row p of
+/// Stage one 8x8 tile pair-interleaved for the AVX2 reduce kernel: row p of
 /// the 64-int16 output holds, per column j, the adjacent pair
 /// (y[2p][j], y[2p+1][j]) — the layout vpmaddwd consumes directly.
 void interleave_tile8(const std::int16_t* y, std::int16_t* dst) {
@@ -350,7 +352,8 @@ void set_active_kernel_tier(KernelTier tier) {
 }
 
 KernelTier effective_kernel_tier(const BfpFormat& fmt, KernelTier requested) {
-  return resolve_kernel(2 * fmt.mant_bits, fmt.cols, fmt.cols, requested)
+  return resolve_kernel(2 * fmt.mant_bits, fmt.rows, fmt.cols, fmt.cols,
+                        requested)
       .effective;
 }
 
@@ -367,8 +370,8 @@ void bfp_tile_product_into(const BfpBlock& x, const BfpBlock& y,
   out.psu.resize(static_cast<std::size_t>(rows) *
                  static_cast<std::size_t>(cols));
 
-  const Resolved kr =
-      resolve_kernel(x.fmt.mant_bits + y.fmt.mant_bits, kk, cols, tier);
+  const Resolved kr = resolve_kernel(x.fmt.mant_bits + y.fmt.mant_bits, rows,
+                                     kk, cols, tier);
   if (!kr.transpose) {
     kr.fn(x.man.data(), y.man.data(), nullptr, rows, kk, cols,
           out.psu.data());
@@ -404,23 +407,34 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
   const int brs = a.block_rows();
   const int bcs = b.block_cols();
   const int bks = a.block_cols();
+  const std::size_t tiles =
+      static_cast<std::size_t>(brs) * static_cast<std::size_t>(bcs);
   const std::size_t tile_elems =
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
   const std::size_t y_elems =
       static_cast<std::size_t>(kk) * static_cast<std::size_t>(cols);
+  // Same contract as the reference: psu_accumulate checks its carrier
+  // width on a tile's first real accumulation, which every tile reaches
+  // exactly when there are two or more k-blocks.
+  if (bks >= 2 && tiles > 0) {
+    BFP_REQUIRE(psu_bits >= 8 && psu_bits <= 62,
+                "psu_accumulate: psu_bits must be in [8,62]");
+  }
 
-  const Resolved kr =
-      resolve_kernel(a.fmt.mant_bits + b.fmt.mant_bits, kk, cols, tier);
+  const Resolved kr = resolve_kernel(a.fmt.mant_bits + b.fmt.mant_bits, rows,
+                                     kk, cols, tier);
 #if BFPSIM_KERNEL_AVX2
   // The PSU merge is tier-independent datapath, but kScalar is kept
   // reference-shaped end to end so the bench baseline stays honest.
   const bool avx2_merge =
       kr.effective != KernelTier::kScalar && avx2_usable();
+  // A carrier of at most 32 bits fits int32 lanes: the whole k-walk of a
+  // tile runs in registers. Wider carriers take the int64 route below.
+  const bool reduce8 = kr.tile8 && psu_bits <= 32;
 #endif
 
-  // Stage every Y tile (transposed, or pair-interleaved for the fused
-  // kernel), once, on the calling thread; workers only read it. Scratch-
-  // arena lifetime spans the parallel_for below.
+  // Stage Y tiles once, on the calling thread; workers only read them.
+  // Scratch-arena lifetime spans the parallel_for below.
   Arena& arena = scratch_arena();
   ArenaScope scope(&arena);
   std::int16_t* yt_all = nullptr;
@@ -437,16 +451,21 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
     }
   }
 #if BFPSIM_KERNEL_AVX2
+  // For the reduce kernel: pair-interleaved, with each column of B tiles
+  // contiguous in bk, plus the tiles' exponents in the same order.
   std::int16_t* yi_all = nullptr;
-  if (kr.fused8) {
+  std::int32_t* yexp_all = nullptr;
+  if (reduce8) {
     yi_all = arena.alloc_array<std::int16_t>(
         static_cast<std::size_t>(bks) * static_cast<std::size_t>(bcs) *
         y_elems);
-    for (int bk = 0; bk < bks; ++bk) {
-      for (int bc = 0; bc < bcs; ++bc) {
-        interleave_tile8(
-            b.block(bk, bc).man.data(),
-            yi_all + (static_cast<std::size_t>(bk * bcs + bc)) * y_elems);
+    yexp_all = arena.alloc_array<std::int32_t>(
+        static_cast<std::size_t>(bks) * static_cast<std::size_t>(bcs));
+    for (int bc = 0; bc < bcs; ++bc) {
+      for (int bk = 0; bk < bks; ++bk) {
+        const std::size_t idx = static_cast<std::size_t>(bc * bks + bk);
+        interleave_tile8(b.block(bk, bc).man.data(), yi_all + idx * y_elems);
+        yexp_all[idx] = b.block(bk, bc).expb;
       }
     }
   }
@@ -472,55 +491,39 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
     const int br = static_cast<int>(tile) / bcs;
     const int bc = static_cast<int>(tile) % bcs;
     std::int32_t acc_exp = 0;
-    for (int bk = 0; bk < bks; ++bk) {
-      const BfpBlock& xb = a.block(br, bk);
-      const BfpBlock& yb = b.block(bk, bc);
-      const std::int16_t* yt =
-          kr.transpose
-              ? yt_all + (static_cast<std::size_t>(bk * bcs + bc)) * y_elems
-              : nullptr;
-      const std::int32_t p_exp = xb.expb + yb.expb;
-      if (bk == 0) {
+    // The overflow test is folded to one flag per k-block (per tile in the
+    // reduce kernel): which element or k-block overflowed is unobservable
+    // (the exception carries only psu_bits, and the scratch dies with the
+    // throw), so deferring it is behaviour-identical to the reference.
+    bool overflow = false;
 #if BFPSIM_KERNEL_AVX2
-        if (kr.fused8) {
-          (void)detail::tile8_fused_avx2(
-              xb.man.data(),
-              yi_all + (static_cast<std::size_t>(bk * bcs + bc)) * y_elems,
-              rows, acc, 0, 0, psu_bits, /*init=*/true);
-        } else
+    if (reduce8) {
+      const std::size_t col = static_cast<std::size_t>(bc * bks);
+      overflow = detail::tile8_reduce_avx2(&a.block(br, 0),
+                                           yi_all + col * y_elems,
+                                           yexp_all + col, bks, psu_bits,
+                                           acc, &acc_exp);
+    } else
 #endif
-        {
+    {
+      for (int bk = 0; bk < bks && !overflow; ++bk) {
+        const BfpBlock& xb = a.block(br, bk);
+        const BfpBlock& yb = b.block(bk, bc);
+        const std::int16_t* yt =
+            kr.transpose ? yt_all + (static_cast<std::size_t>(bk * bcs + bc)) *
+                                        y_elems
+                         : nullptr;
+        const std::int32_t p_exp = xb.expb + yb.expb;
+        if (bk == 0) {
           kr.fn(xb.man.data(), yb.man.data(), yt, rows, kk, cols, acc);
+          acc_exp = p_exp;
+          continue;
         }
-        acc_exp = p_exp;
-        continue;
-      }
-      if (bk == 1) {
-        // Same validation point as the reference: psu_accumulate checks
-        // its carrier width on the first real accumulation only.
-        BFP_REQUIRE(psu_bits >= 8 && psu_bits <= 62,
-                    "psu_accumulate: psu_bits must be in [8,62]");
-      }
-      // Eqn 3: align the smaller-exponent operand right with truncation;
-      // the sum keeps the larger exponent and must fit the PSU carrier.
-      // The overflow test is folded to one check per k-block: which
-      // element overflowed is unobservable (the exception carries only
-      // psu_bits, and the partially-updated scratch dies with the throw),
-      // so deferring it is behaviour-identical to the reference.
-      const std::int32_t e = std::max(acc_exp, p_exp);
-      const int shift_acc = static_cast<int>(e - acc_exp);
-      const int shift_p = static_cast<int>(e - p_exp);
-      bool overflow = false;
-#if BFPSIM_KERNEL_AVX2
-      if (kr.fused8 && shift_acc <= 62 && shift_p <= 62) {
-        // Fused product + merge: the int64 product buffer never exists.
-        overflow = detail::tile8_fused_avx2(
-            xb.man.data(),
-            yi_all + (static_cast<std::size_t>(bk * bcs + bc)) * y_elems,
-            rows, acc, shift_acc, shift_p, psu_bits, /*init=*/false);
-      } else
-#endif
-      {
+        // Eqn 3: align the smaller-exponent operand right with truncation;
+        // the sum keeps the larger exponent and must fit the PSU carrier.
+        const std::int32_t e = std::max(acc_exp, p_exp);
+        const int shift_acc = static_cast<int>(e - acc_exp);
+        const int shift_p = static_cast<int>(e - p_exp);
         kr.fn(xb.man.data(), yb.man.data(), yt, rows, kk, cols, prod);
 #if BFPSIM_KERNEL_AVX2
         if (avx2_merge && shift_acc <= 62 && shift_p <= 62) {
@@ -536,13 +539,13 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
             acc[idx] = s;
           }
         }
+        acc_exp = e;
       }
-      if (overflow) {
-        throw HardwareContractError(
-            "psu_accumulate: partial sum overflows " +
-            std::to_string(psu_bits) + "-bit PSU carrier");
-      }
-      acc_exp = e;
+    }
+    if (overflow) {
+      throw HardwareContractError(
+          "psu_accumulate: partial sum overflows " +
+          std::to_string(psu_bits) + "-bit PSU carrier");
     }
     // Dequantizing writeback. int64 -> double conversion rounds exactly as
     // in the reference; after that, multiplying by an exact power of two
@@ -571,8 +574,6 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
     }
   };
 
-  const std::size_t tiles =
-      static_cast<std::size_t>(brs) * static_cast<std::size_t>(bcs);
   if (pool != nullptr) {
     pool->parallel_for(tiles, compute_tile);
   } else {

@@ -11,6 +11,16 @@
 // differential harness (tests/test_golden_diff.cpp) pins it against the
 // independent scalar golden model anyway.
 //
+// The PSU itself can stay narrow too. With AVX2, 8x8 blocks and a carrier
+// of at most 32 bits (the paper's psu_bits = 32), a tile's whole k-walk
+// keeps its accumulator in int32 lanes. That is exact: every partial sum
+// the reference accepts fits psu_bits <= 32 bits, every 8x8 bfp8 product
+// is below 2^17, and an int32 arithmetic shift by 32 or more fills with
+// the sign, which is what asr() gives for int32 values. A sum the
+// reference rejects is caught as an int32 wrap at 32 bits, or by the
+// range test below 32 bits, where no add can wrap first. Wider carriers
+// take the int64 product + merge route.
+//
 // Tiers (runtime-dispatched; every tier present in every build):
 //   kScalar   the reference-shaped triple loop on raw pointers — the
 //             baseline the bench measures speedups against.
@@ -83,8 +93,9 @@ void bfp_tile_product_into(const BfpBlock& x, const BfpBlock& y,
 /// overflow contract, and dequantization as bfp_gemm_reference — verified
 /// bit-identical for every tier, pool size, and shape — but with the tile
 /// products strength-reduced/vectorized, the per-k-block WideBlock churn
-/// replaced by per-worker reused scratch, and Y tiles staged transposed
-/// once per call through the thread-local scratch_arena().
+/// replaced by per-worker reused scratch, and Y tiles staged once per call
+/// (transposed, or pair-interleaved for the int32 8x8 walk) through the
+/// thread-local scratch_arena().
 std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
                                      int logical_rows, int logical_cols,
                                      int psu_bits, KernelTier tier,

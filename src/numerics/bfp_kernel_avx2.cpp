@@ -1,15 +1,23 @@
-// AVX2 tile-product kernel, isolated in its own translation unit so it can
-// be compiled with -mavx2 while the rest of the binary stays baseline-ISA.
-// bfp_kernel.cpp only calls in here after avx2_runtime_supported() confirms
-// the CPU actually has AVX2, so one binary serves both CPU classes.
+// AVX2 tile-product and PSU kernels, isolated in their own translation unit
+// so they can be compiled with -mavx2 while the rest of the binary stays
+// baseline-ISA. bfp_kernel.cpp only calls in here after
+// avx2_runtime_supported() confirms the CPU actually has AVX2, so one binary
+// serves both CPU classes.
 //
 // Exactness: identical argument to the SSE2 kernel — _mm256_madd_epi16
 // pair-sums int16 products into int32 lanes, and the int32-safety gate
 // (checked before this kernel is ever selected) proves no pair sum or lane
 // accumulation can reach 2^31. The final horizontal reduce is plain integer
-// addition, so the result equals the scalar k-ordered sum bit-for-bit.
+// addition, so the result equals the scalar k-ordered sum bit-for-bit. The
+// 8x8 reduce kernel also keeps the PSU accumulator in int32 lanes; it is
+// only entered for carriers of at most 32 bits, where every accepted
+// partial sum is an int32 too.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+
+#include "numerics/bfp.hpp"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
@@ -156,77 +164,114 @@ inline __m256i asr_epi64(__m256i v, int s, __m256i m) {
   return _mm256_sub_epi64(_mm256_xor_si256(u, m), m);
 }
 
+/// Load one staged 8x8 Y tile: row p holds, per column j, the int16 pair
+/// (y[2p][j], y[2p+1][j]) (see interleave_tile8 in bfp_kernel.cpp).
+inline void load_tile8(const std::int16_t* yi, __m256i yp[4]) {
+  for (int p = 0; p < 4; ++p) {
+    yp[p] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+        yi + static_cast<std::size_t>(p) * 16));
+  }
+}
+
+/// Row `xr` of an 8x8 tile product in int32: each x pair (x[2p], x[2p+1])
+/// is broadcast from registers and one vpmaddwd against staged row p adds
+/// both k-levels to all eight outputs at once.
+inline __m256i tile8_row(const std::int16_t* xr, const __m256i yp[4]) {
+  const __m256i xv = _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(xr)));
+  __m256i s = _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x00), yp[0]);
+  s = _mm256_add_epi32(s, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x55),
+                                            yp[1]));
+  s = _mm256_add_epi32(s, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xAA),
+                                            yp[2]));
+  return _mm256_add_epi32(
+      s, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xFF), yp[3]));
+}
+
+/// The k-walk of tile8_reduce_avx2. kFullWidth selects the overflow test:
+/// at psu_bits == 32 the exact sum leaves the carrier iff the int32 add
+/// wraps (both addends share a sign the sum lacks); below 32 it leaves iff
+/// (s + 2^(psu_bits-1)) >> psu_bits != 0 as uint32, and no add can wrap
+/// first (|accepted sum| <= 2^30 and |product| < 2^30).
+template <bool kFullWidth>
+bool tile8_reduce(const BfpBlock* x, const std::int16_t* yi,
+                  const std::int32_t* yexp, int bks, int psu_bits,
+                  std::int64_t* out, std::int32_t* out_exp) {
+  __m256i yp[4];
+  __m256i acc[8];
+  load_tile8(yi, yp);
+  const std::int16_t* xm = x[0].man.data();
+  for (int i = 0; i < 8; ++i) {
+    acc[i] = tile8_row(xm + static_cast<std::size_t>(i) * 8, yp);
+  }
+  std::int32_t acc_exp = x[0].expb + yexp[0];
+  __m256i bad = _mm256_setzero_si256();
+  if (bks > 1) {
+    const __m256i bias = _mm256_set1_epi32(
+        kFullWidth ? 0 : static_cast<std::int32_t>(1U << (psu_bits - 1)));
+    const __m128i range = _mm_cvtsi32_si128(psu_bits);
+    for (int bk = 1; bk < bks; ++bk) {
+      // Eqn 3: align the smaller-exponent operand right with truncation.
+      // vpsrad fills counts >= 32 with the sign, which is asr() for int32
+      // values, so every shift count is served natively.
+      const std::int32_t p_exp = x[bk].expb + yexp[bk];
+      const std::int32_t e = std::max(acc_exp, p_exp);
+      const __m128i shift_acc = _mm_cvtsi32_si128(e - acc_exp);
+      const __m128i shift_p = _mm_cvtsi32_si128(e - p_exp);
+      load_tile8(yi + static_cast<std::size_t>(bk) * 64, yp);
+      xm = x[bk].man.data();
+      for (int i = 0; i < 8; ++i) {
+        const __m256i a = _mm256_sra_epi32(acc[i], shift_acc);
+        const __m256i p = _mm256_sra_epi32(
+            tile8_row(xm + static_cast<std::size_t>(i) * 8, yp), shift_p);
+        const __m256i s = _mm256_add_epi32(a, p);
+        if constexpr (kFullWidth) {
+          bad = _mm256_or_si256(
+              bad, _mm256_and_si256(_mm256_xor_si256(a, s),
+                                    _mm256_xor_si256(p, s)));
+        } else {
+          bad = _mm256_or_si256(
+              bad, _mm256_srl_epi32(_mm256_add_epi32(s, bias), range));
+        }
+        acc[i] = s;
+      }
+      acc_exp = e;
+    }
+  }
+  for (int i = 0; i < 8; ++i) {
+    std::int64_t* orow = out + static_cast<std::size_t>(i) * 8;
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(orow),
+                        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[i])));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(orow + 4),
+        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc[i], 1)));
+  }
+  *out_exp = acc_exp;
+  const __m256i flag = _mm256_set1_epi32(
+      kFullWidth ? std::numeric_limits<std::int32_t>::min() : -1);
+  return _mm256_testz_si256(bad, flag) == 0;
+}
+
 }  // namespace
 
-bool tile8_fused_avx2(const std::int16_t* x, const std::int16_t* yi,
-                      int rows, std::int64_t* acc, int shift_acc,
-                      int shift_p, int psu_bits, bool init);
+bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
+                       const std::int32_t* yexp, int bks, int psu_bits,
+                       std::int64_t* out, std::int32_t* out_exp);
 
-/// 8x8 tile product fused with the Eqn-3 PSU merge. `yi` is the tile's
-/// mantissas pre-staged pair-interleaved (see interleave_tile8 in
-/// bfp_kernel.cpp): slot j of 256-bit row p holds the int16 pair
-/// (y[2p][j], y[2p+1][j]), so one vpmaddwd against the broadcast x pair
-/// (x[i][2p], x[i][2p+1]) contributes both k-levels to all eight outputs
-/// at once — exact in int32 by the safety gate. The widened products are
-/// folded straight into `acc`; the intermediate product buffer never
-/// touches memory. `init` = first k-block (acc is overwritten, no
-/// shift/overflow semantics, exactly like the unfused path's bk==0).
-/// Shifts must be in [0, 62]; returns the overflow flag, computed as
-/// "(s + 2^(psu_bits-1)) >> psu_bits != 0 for any element" — |s| < 2^62,
-/// so the bias add cannot wrap and the test is exactly !fits_signed.
-bool tile8_fused_avx2(const std::int16_t* x, const std::int16_t* yi,
-                      int rows, std::int64_t* acc, int shift_acc,
-                      int shift_p, int psu_bits, bool init) {
-  const __m256i yp0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yi));
-  const __m256i yp1 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yi + 16));
-  const __m256i yp2 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yi + 32));
-  const __m256i yp3 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yi + 48));
-  const __m256i ma =
-      _mm256_set1_epi64x(std::int64_t{1} << (63 - shift_acc));
-  const __m256i mp = _mm256_set1_epi64x(std::int64_t{1} << (63 - shift_p));
-  const __m256i bias =
-      _mm256_set1_epi64x(std::int64_t{1} << (psu_bits - 1));
-  const __m128i range = _mm_cvtsi32_si128(psu_bits);
-  __m256i bad = _mm256_setzero_si256();
-  for (int i = 0; i < rows; ++i) {
-    // x row as four int32 pair-slots, broadcast per pair from registers.
-    const __m256i xv = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(x + static_cast<std::size_t>(i) * 8)));
-    __m256i s32 = _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x00), yp0);
-    s32 = _mm256_add_epi32(
-        s32, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x55), yp1));
-    s32 = _mm256_add_epi32(
-        s32, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xAA), yp2));
-    s32 = _mm256_add_epi32(
-        s32, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xFF), yp3));
-    const __m256i p0 = _mm256_cvtepi32_epi64(_mm256_castsi256_si128(s32));
-    const __m256i p1 = _mm256_cvtepi32_epi64(_mm256_extracti128_si256(s32, 1));
-    std::int64_t* arow = acc + static_cast<std::size_t>(i) * 8;
-    if (init) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(arow), p0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(arow + 4), p1);
-      continue;
-    }
-    const __m256i a0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow));
-    const __m256i a1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(arow + 4));
-    const __m256i s0 = _mm256_add_epi64(asr_epi64(a0, shift_acc, ma),
-                                        asr_epi64(p0, shift_p, mp));
-    const __m256i s1 = _mm256_add_epi64(asr_epi64(a1, shift_acc, ma),
-                                        asr_epi64(p1, shift_p, mp));
-    bad = _mm256_or_si256(
-        bad, _mm256_srl_epi64(_mm256_add_epi64(s0, bias), range));
-    bad = _mm256_or_si256(
-        bad, _mm256_srl_epi64(_mm256_add_epi64(s1, bias), range));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(arow), s0);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(arow + 4), s1);
-  }
-  return _mm256_testz_si256(bad, bad) == 0;
+/// One 8x8 output tile's whole k-reduction (Eqn 2 products, Eqn 3
+/// merges) with the accumulator held in eight int32 registers. `x` is the
+/// tile's row of A blocks; `yi`/`yexp` are the tile's column of B blocks,
+/// staged pair-interleaved and contiguous in bk. Exact because every
+/// accepted partial sum fits psu_bits <= 32 and every product fits int32
+/// (the int32-safety gate). Returns the overflow flag for the whole tile:
+/// which k-block overflowed is unobservable, and after a wrap the lanes
+/// only hold garbage the caller discards by throwing.
+bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
+                       const std::int32_t* yexp, int bks, int psu_bits,
+                       std::int64_t* out, std::int32_t* out_exp) {
+  return psu_bits >= 32
+             ? tile8_reduce<true>(x, yi, yexp, bks, psu_bits, out, out_exp)
+             : tile8_reduce<false>(x, yi, yexp, bks, psu_bits, out, out_exp);
 }
 
 bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
@@ -276,8 +321,9 @@ bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
 // toolchain accepted -mavx2 at configure time but the macro test failed.
 void tile_product_avx2(const std::int16_t*, const std::int16_t*,
                        const std::int16_t*, int, int, int, std::int64_t*) {}
-bool tile8_fused_avx2(const std::int16_t*, const std::int16_t*, int,
-                      std::int64_t*, int, int, int, bool) {
+bool tile8_reduce_avx2(const BfpBlock*, const std::int16_t*,
+                       const std::int32_t*, int, int, std::int64_t*,
+                       std::int32_t*) {
   return false;
 }
 bool psu_merge_avx2(std::int64_t*, const std::int64_t*, std::size_t, int,

@@ -299,18 +299,20 @@ std::vector<float> zero_denormal_operand(Rng& rng, int rows, int cols) {
   return v;
 }
 
-/// Max-exponent-skew operand: alternate 8-wide blocks along the chosen
-/// dimension between scales 2^120 and 2^-120, so successive k-tile products
-/// sit ~220+ exponent steps apart and the PSU alignment shift exceeds 62 —
-/// the SIMD merge kernels must take their scalar-asr fallback and still
-/// land on the golden bits.
+/// Exponent-skew operand: alternate 8-wide blocks along the chosen
+/// dimension between scales 2^step and 2^-step. At the default step of 120
+/// successive k-tile products sit ~220+ exponent steps apart and the PSU
+/// alignment shift exceeds 62 — the int64 merge kernels must take their
+/// scalar-asr fallback and still land on the golden bits. A step of 20
+/// gives shifts of roughly 32 to 62, where the int32 kernel's shifts fill
+/// with the sign.
 std::vector<float> exponent_skew_operand(Rng& rng, int rows, int cols,
-                                         bool along_cols) {
+                                         bool along_cols, int step = 120) {
   std::vector<float> v(static_cast<std::size_t>(rows) * cols);
   for (int r = 0; r < rows; ++r) {
     for (int c = 0; c < cols; ++c) {
       const int block = (along_cols ? c : r) / kEdge;
-      const int scale = (block % 2 == 0) ? 120 : -120;
+      const int scale = (block % 2 == 0) ? step : -step;
       v[static_cast<std::size_t>(r) * cols + c] =
           std::ldexp(rng.normal(0.0F, 1.0F), scale);
     }
@@ -642,11 +644,14 @@ TEST(GoldenDiff, Fp64AccumulateBoundsAlignmentError) {
 
 TEST(GoldenDiff, DispatchTierFuzzBitExactVsGolden) {
   // Every dispatch variant (each available KernelTier plus the in-process
-  // reference GEMM) against the independent scalar golden model, across the
-  // operand families the fast paths special-case: plain mixed scales,
-  // zero/denormal-heavy blocks, max-exponent-skew blocks (PSU alignment
-  // shifts > 62, forcing the SIMD kernels onto their scalar-asr fallback),
-  // and exact multiple-of-8 dims (the fused 8x8 path) next to ragged ones.
+  // reference GEMM) against the independent scalar golden model at the
+  // paper's 32-bit PSU, across the operand families the fast paths
+  // special-case: plain mixed scales, zero/denormal-heavy blocks,
+  // max-exponent-skew blocks (PSU alignment shifts > 62: sign-filling
+  // shifts in the int32 reduce kernel, the scalar-asr fallback on the
+  // int64 routes), and exact multiple-of-8 dims (the 8x8 int32 reduce
+  // kernel) next to ragged ones. Other carrier widths are swept by
+  // DispatchPsuContractParityVsReference.
   const BfpFormat fmt = bfp8_format();
   const std::vector<KernelTier> tiers = available_kernel_tiers();
   constexpr int psu_bits = 32;
@@ -654,7 +659,7 @@ TEST(GoldenDiff, DispatchTierFuzzBitExactVsGolden) {
     Rng rng(static_cast<std::uint64_t>(11000 + case_id));
     const int family = case_id % 4;
     int m, k, n;
-    if (family == 3) {  // exact multiples of 8, several k tiles: fused path
+    if (family == 3) {  // exact multiples of 8, several k tiles: reduce kernel
       m = 8 * static_cast<int>(rng.uniform_int(1, 4));
       k = 8 * static_cast<int>(rng.uniform_int(2, 5));
       n = 8 * static_cast<int>(rng.uniform_int(1, 4));
@@ -816,6 +821,183 @@ TEST(GoldenDiff, ThreadSweepBitIdenticalAcrossTiers) {
                                  serial.size() * sizeof(float)))
             << "case " << case_id << " tier " << to_string(tier)
             << " threads " << threads;
+      }
+    }
+  }
+}
+
+/// What one GEMM call produced: the output floats, or the kind of contract
+/// exception it threw.
+struct GemmOutcome {
+  enum Kind { kValue, kHardwareContract, kError } kind = kValue;
+  std::vector<float> c;
+};
+
+template <typename Fn>
+GemmOutcome gemm_outcome(Fn&& gemm) {
+  GemmOutcome o;
+  try {
+    o.c = gemm();
+  } catch (const HardwareContractError&) {
+    o.kind = GemmOutcome::kHardwareContract;
+  } catch (const Error&) {
+    o.kind = GemmOutcome::kError;
+  }
+  return o;
+}
+
+/// Same outcome kind, and for values the same bytes.
+void expect_same_outcome(const GemmOutcome& want, const GemmOutcome& got,
+                         const std::string& where) {
+  ASSERT_EQ(static_cast<int>(got.kind), static_cast<int>(want.kind)) << where;
+  if (want.kind != GemmOutcome::kValue) return;
+  ASSERT_EQ(got.c.size(), want.c.size()) << where;
+  ASSERT_EQ(0, std::memcmp(got.c.data(), want.c.data(),
+                           want.c.size() * sizeof(float)))
+      << where;
+}
+
+TEST(GoldenDiff, DispatchPsuContractParityVsReference) {
+  // Every tier honours the reference's PSU contract at every carrier width,
+  // not only the paper's 32 bits: the same bytes, or the same exception —
+  // HardwareContractError for an overflowing partial sum, Error for a
+  // psu_bits outside [8, 62] once a tile has two or more k-blocks. The
+  // widths straddle each route: the int32 reduce kernel (<= 32, with the
+  // wrap test at exactly 32) and the int64 product + merge route (> 32).
+  // A's block rows vary (B stays 8x8) so formats the 8x8x8 kernel cannot
+  // serve are covered too. Operand families: mixed per-row scales,
+  // moderate and extreme exponent skew along k (alignment shifts in
+  // [32, 62] and past 62), and saturated same-sign mantissas that
+  // overflow the narrow carriers.
+  const int psu_widths[] = {4, 8, 16, 24, 31, 32, 33, 40, 62, 63};
+  const int row_counts[] = {4, 8, 16};
+  const std::vector<KernelTier> tiers = available_kernel_tiers();
+  int cases = 0;
+  int overflow_throws = 0;
+  int width_throws = 0;
+  for (const int block_rows : row_counts) {
+    BfpFormat fa = bfp8_format();
+    fa.rows = block_rows;
+    const BfpFormat fb = bfp8_format();
+    for (int draw = 0; draw < 8; ++draw) {
+      Rng rng(static_cast<std::uint64_t>(23000 + 100 * block_rows + draw));
+      const int family = draw % 4;
+      const int m = static_cast<int>(rng.uniform_int(1, 3 * block_rows));
+      // One k-block (no merge, no width check) or several, ragged or not.
+      const int k = (draw < 4) ? 8 * static_cast<int>(rng.uniform_int(2, 6))
+                               : static_cast<int>(rng.uniform_int(1, 48));
+      const int n = static_cast<int>(rng.uniform_int(1, 24));
+      std::vector<float> a;
+      std::vector<float> b;
+      switch (family) {
+        case 0:
+          a = mixed_scale_operand(rng, m, k);
+          b = mixed_scale_operand(rng, k, n);
+          break;
+        case 1:
+          a = exponent_skew_operand(rng, m, k, /*along_cols=*/true, 20);
+          b = mixed_scale_operand(rng, k, n);
+          break;
+        case 2:
+          a = exponent_skew_operand(rng, m, k, /*along_cols=*/true);
+          b = exponent_skew_operand(rng, k, n, /*along_cols=*/false);
+          break;
+        default: {
+          // +/-127/128 -> mantissa +/-127 in every block, one sign per row.
+          a.resize(static_cast<std::size_t>(m) * k);
+          for (int r = 0; r < m; ++r) {
+            const float v = rng.bernoulli(0.5) ? 0.9921875F : -0.9921875F;
+            std::fill_n(a.begin() + static_cast<std::ptrdiff_t>(r) * k, k, v);
+          }
+          b.assign(static_cast<std::size_t>(k) * n, 0.9921875F);
+          break;
+        }
+      }
+      const BfpMatrix am =
+          quantize_matrix(a, m, k, fa, RoundMode::kNearestEven);
+      const BfpMatrix bm =
+          quantize_matrix(b, k, n, fb, RoundMode::kNearestEven);
+      for (const int psu_bits : psu_widths) {
+        const GemmOutcome want = gemm_outcome(
+            [&] { return bfp_gemm_reference(am, bm, m, n, psu_bits); });
+        ++cases;
+        overflow_throws += want.kind == GemmOutcome::kHardwareContract;
+        width_throws += want.kind == GemmOutcome::kError;
+        for (const KernelTier tier : tiers) {
+          const std::string where =
+              "rows " + std::to_string(block_rows) + " family " +
+              std::to_string(family) + " " + std::to_string(m) + "x" +
+              std::to_string(k) + "x" + std::to_string(n) + " psu_bits " +
+              std::to_string(psu_bits) + " tier " + to_string(tier);
+          expect_same_outcome(want, gemm_outcome([&] {
+                                return bfp_gemm_dispatch(am, bm, m, n,
+                                                         psu_bits, tier);
+                              }),
+                              where);
+        }
+      }
+    }
+  }
+  // The sweep reaches every outcome kind.
+  EXPECT_GT(overflow_throws, 0);
+  EXPECT_GT(width_throws, 0);
+  EXPECT_GT(cases - overflow_throws - width_throws, cases / 2);
+}
+
+TEST(GoldenDiff, DispatchPsuCarrierBoundaries) {
+  // All-127 mantissas, shape 8 x 8N x 8: every output is N * 8 * 127^2 =
+  // N * 129032 at one exponent, so no alignment shift ever drops a bit.
+  // N = 16643 is the largest count whose sum fits an int32 carrier (the
+  // reduce kernel's wrap test); at N = 16644 the sum leaves it in either
+  // sign. N = 8321 / 8322 straddle the 31-bit carrier (the biased range
+  // test). Every tier must fit or throw exactly where the reference does,
+  // and one bit more of carrier must hold the larger count.
+  const BfpFormat fmt = bfp8_format();
+  const struct {
+    int psu_bits;
+    int fit_blocks;
+  } edges[] = {{32, 16643}, {31, 8321}};
+  for (const auto& edge : edges) {
+    for (const int blocks : {edge.fit_blocks, edge.fit_blocks + 1}) {
+      const int k = 8 * blocks;
+      for (const float sign : {1.0F, -1.0F}) {
+        const std::vector<float> a(static_cast<std::size_t>(8) * k,
+                                   sign * 0.9921875F);
+        const std::vector<float> b(static_cast<std::size_t>(k) * 8,
+                                   0.9921875F);
+        const BfpMatrix am =
+            quantize_matrix(a, 8, k, fmt, RoundMode::kNearestEven);
+        const BfpMatrix bm =
+            quantize_matrix(b, k, 8, fmt, RoundMode::kNearestEven);
+        const std::string where = "psu_bits " + std::to_string(edge.psu_bits) +
+                                  " N " + std::to_string(blocks) + " sign " +
+                                  std::to_string(sign);
+        const GemmOutcome want = gemm_outcome(
+            [&] { return bfp_gemm_reference(am, bm, 8, 8, edge.psu_bits); });
+        if (blocks == edge.fit_blocks) {
+          ASSERT_EQ(want.kind, GemmOutcome::kValue) << where;
+          const float exact = static_cast<float>(
+              std::ldexp(static_cast<double>(sign) * blocks * 129032.0, -14));
+          for (const float v : want.c) ASSERT_EQ(v, exact) << where;
+        } else {
+          ASSERT_EQ(want.kind, GemmOutcome::kHardwareContract) << where;
+        }
+        const GemmOutcome wider = gemm_outcome([&] {
+          return bfp_gemm_reference(am, bm, 8, 8, edge.psu_bits + 1);
+        });
+        ASSERT_EQ(wider.kind, GemmOutcome::kValue) << where;
+        for (const KernelTier tier : available_kernel_tiers()) {
+          expect_same_outcome(want, gemm_outcome([&] {
+                                return bfp_gemm_dispatch(
+                                    am, bm, 8, 8, edge.psu_bits, tier);
+                              }),
+                              where + " tier " + to_string(tier));
+          expect_same_outcome(wider, gemm_outcome([&] {
+                                return bfp_gemm_dispatch(
+                                    am, bm, 8, 8, edge.psu_bits + 1, tier);
+                              }),
+                              where + " (+1 bit) tier " + to_string(tier));
+        }
       }
     }
   }

@@ -98,7 +98,8 @@ TEST(QuantizerProperty, TruncationNeverIncreasesMagnitudeOfPositive) {
 
 TEST(FailureInjection, PsuOverflowSurfacesFromPublicApi) {
   // Force a PSU overflow: gemm with a huge K so aligned partial sums
-  // exceed a deliberately narrow carrier.
+  // exceed a deliberately narrow carrier, through both the cycle-stepped
+  // and the functional GEMM.
   PuConfig cfg;
   cfg.psu_bits = 16;  // absurdly narrow accumulator
   ProcessingUnit pu(cfg);
@@ -109,6 +110,7 @@ TEST(FailureInjection, PsuOverflowSurfacesFromPublicApi) {
   std::vector<float> a(static_cast<std::size_t>(m) * k, 1.0F);
   std::vector<float> b(static_cast<std::size_t>(k) * n, 1.0F);
   EXPECT_THROW(pu.gemm_bfp8(a, m, k, b, n), HardwareContractError);
+  EXPECT_THROW(pu.gemm_bfp8_fast(a, m, k, b, n), HardwareContractError);
 }
 
 TEST(FailureInjection, AccOverflowInFp32Add) {
