@@ -34,14 +34,13 @@ void tile_product_avx2(const std::int16_t* x, const std::int16_t* y,
 /// loop for the degenerate huge-skew shifts asr() clamps).
 bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
                     std::size_t n, int shift_acc, int shift_p, int psu_bits);
-/// One 8x8x8 output tile's whole k-reduction with an int32 PSU carrier
-/// (psu_bits <= 32, and in [8, 32] whenever bks >= 2). `x` is the tile's
-/// row of A blocks; `yi`/`yexp` its column of B tiles, pair-interleaved
-/// (interleave_tile8) and contiguous in bk. Writes the tile's wide
-/// mantissas and exponent; returns the overflow flag.
+/// One 8x8x8 output tile's whole k-reduction in a 32-bit PSU carrier.
+/// `x` is the tile's row of A blocks; `yi`/`yexp` its column of B tiles,
+/// pair-interleaved (interleave_tile8) and contiguous in bk. Writes the
+/// tile's wide mantissas and exponent; returns the overflow flag.
 bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
-                       const std::int32_t* yexp, int bks, int psu_bits,
-                       std::int64_t* out, std::int32_t* out_exp);
+                       const std::int32_t* yexp, int bks, std::int64_t* out,
+                       std::int32_t* out_exp);
 }  // namespace detail
 #endif
 
@@ -231,7 +230,7 @@ bool int32_safe(int mant_bits_sum, int kk) {
 struct Resolved {
   TileFn fn = tile_product_scalar;
   bool transpose = false;
-  /// AVX2 + 8x8x8 tiles: the GEMM may use the int32 reduce kernel.
+  /// AVX2 + 8x8 Y tiles: the GEMM may use the int32 reduce kernel.
   bool tile8 = false;
   KernelTier effective = KernelTier::kScalar;
 };
@@ -239,7 +238,7 @@ struct Resolved {
 /// Pick the implementation for a (mantissa-width, inner-dim) pair:
 /// degrades kSimd -> kBlocked when the vector path cannot serve the
 /// format, never the other way.
-Resolved resolve_kernel(int mant_bits_sum, int rows, int kk, int cols,
+Resolved resolve_kernel(int mant_bits_sum, int kk, int cols,
                         KernelTier requested) {
   Resolved r;
   if (requested == KernelTier::kScalar) return r;
@@ -251,7 +250,7 @@ Resolved resolve_kernel(int mant_bits_sum, int rows, int kk, int cols,
       r.fn = detail::tile_product_avx2;
       // The 8x8 fast path is fully vertical over row-major Y.
       r.transpose = !(kk == 8 && cols == 8);
-      r.tile8 = !r.transpose && rows == 8;
+      r.tile8 = !r.transpose;
       r.effective = KernelTier::kSimd;
       return r;
     }
@@ -352,8 +351,7 @@ void set_active_kernel_tier(KernelTier tier) {
 }
 
 KernelTier effective_kernel_tier(const BfpFormat& fmt, KernelTier requested) {
-  return resolve_kernel(2 * fmt.mant_bits, fmt.rows, fmt.cols, fmt.cols,
-                        requested)
+  return resolve_kernel(2 * fmt.mant_bits, fmt.cols, fmt.cols, requested)
       .effective;
 }
 
@@ -370,8 +368,8 @@ void bfp_tile_product_into(const BfpBlock& x, const BfpBlock& y,
   out.psu.resize(static_cast<std::size_t>(rows) *
                  static_cast<std::size_t>(cols));
 
-  const Resolved kr = resolve_kernel(x.fmt.mant_bits + y.fmt.mant_bits, rows,
-                                     kk, cols, tier);
+  const Resolved kr =
+      resolve_kernel(x.fmt.mant_bits + y.fmt.mant_bits, kk, cols, tier);
   if (!kr.transpose) {
     kr.fn(x.man.data(), y.man.data(), nullptr, rows, kk, cols,
           out.psu.data());
@@ -421,16 +419,17 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
                 "psu_accumulate: psu_bits must be in [8,62]");
   }
 
-  const Resolved kr = resolve_kernel(a.fmt.mant_bits + b.fmt.mant_bits, rows,
-                                     kk, cols, tier);
+  const Resolved kr =
+      resolve_kernel(a.fmt.mant_bits + b.fmt.mant_bits, kk, cols, tier);
 #if BFPSIM_KERNEL_AVX2
   // The PSU merge is tier-independent datapath, but kScalar is kept
   // reference-shaped end to end so the bench baseline stays honest.
   const bool avx2_merge =
       kr.effective != KernelTier::kScalar && avx2_usable();
-  // A carrier of at most 32 bits fits int32 lanes: the whole k-walk of a
-  // tile runs in registers. Wider carriers take the int64 route below.
-  const bool reduce8 = kr.tile8 && psu_bits <= 32;
+  // The paper's 32-bit carrier on 8x8x8 tiles fits int32 lanes: the whole
+  // k-walk of a tile runs in registers. Every other carrier width and
+  // block shape takes the int64 route below.
+  const bool reduce8 = kr.tile8 && rows == 8 && psu_bits == 32;
 #endif
 
   // Stage Y tiles once, on the calling thread; workers only read them.
@@ -501,8 +500,8 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
       const std::size_t col = static_cast<std::size_t>(bc * bks);
       overflow = detail::tile8_reduce_avx2(&a.block(br, 0),
                                            yi_all + col * y_elems,
-                                           yexp_all + col, bks, psu_bits,
-                                           acc, &acc_exp);
+                                           yexp_all + col, bks, acc,
+                                           &acc_exp);
     } else
 #endif
     {

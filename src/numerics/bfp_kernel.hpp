@@ -11,15 +11,15 @@
 // differential harness (tests/test_golden_diff.cpp) pins it against the
 // independent scalar golden model anyway.
 //
-// The PSU itself can stay narrow too. With AVX2, 8x8 blocks and a carrier
-// of at most 32 bits (the paper's psu_bits = 32), a tile's whole k-walk
-// keeps its accumulator in int32 lanes. That is exact: every partial sum
-// the reference accepts fits psu_bits <= 32 bits, every 8x8 bfp8 product
-// is below 2^17, and an int32 arithmetic shift by 32 or more fills with
-// the sign, which is what asr() gives for int32 values. A sum the
-// reference rejects is caught as an int32 wrap at 32 bits, or by the
-// range test below 32 bits, where no add can wrap first. Wider carriers
-// take the int64 product + merge route.
+// The PSU itself can stay narrow too. With AVX2, 8x8 blocks and the
+// paper's 32-bit carrier (psu_bits = 32), a tile's whole k-walk keeps its
+// accumulator in int32 lanes. That is exact: every partial sum the
+// reference accepts fits 32 bits, the int32-safety gate limits every 8x8
+// tile product to |p| <= 2^29 < 2^30, and an int32 arithmetic shift by 32
+// or more fills with the sign, which is what asr() gives for int32
+// values. So both aligned addends are int32, and a sum the reference
+// rejects is exactly an int32 wrap. Every other carrier width takes the
+// int64 product + merge route.
 //
 // Tiers (runtime-dispatched; every tier present in every build):
 //   kScalar   the reference-shaped triple loop on raw pointers — the

@@ -10,8 +10,8 @@
 // accumulation can reach 2^31. The final horizontal reduce is plain integer
 // addition, so the result equals the scalar k-ordered sum bit-for-bit. The
 // 8x8 reduce kernel also keeps the PSU accumulator in int32 lanes; it is
-// only entered for carriers of at most 32 bits, where every accepted
-// partial sum is an int32 too.
+// only entered for the 32-bit carrier, where every accepted partial sum is
+// an int32 too.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -188,15 +188,25 @@ inline __m256i tile8_row(const std::int16_t* xr, const __m256i yp[4]) {
       s, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xFF), yp[3]));
 }
 
-/// The k-walk of tile8_reduce_avx2. kFullWidth selects the overflow test:
-/// at psu_bits == 32 the exact sum leaves the carrier iff the int32 add
-/// wraps (both addends share a sign the sum lacks); below 32 it leaves iff
-/// (s + 2^(psu_bits-1)) >> psu_bits != 0 as uint32, and no add can wrap
-/// first (|accepted sum| <= 2^30 and |product| < 2^30).
-template <bool kFullWidth>
-bool tile8_reduce(const BfpBlock* x, const std::int16_t* yi,
-                  const std::int32_t* yexp, int bks, int psu_bits,
-                  std::int64_t* out, std::int32_t* out_exp) {
+}  // namespace
+
+bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
+                       const std::int32_t* yexp, int bks, std::int64_t* out,
+                       std::int32_t* out_exp);
+
+/// One 8x8 output tile's whole k-reduction (Eqn 2 products, Eqn 3
+/// merges) with a 32-bit PSU carrier held in eight int32 registers. `x` is
+/// the tile's row of A blocks; `yi`/`yexp` are the tile's column of B
+/// blocks, staged pair-interleaved and contiguous in bk. Exact because
+/// every accepted partial sum is an int32 and the int32-safety gate bounds
+/// every product by 2^29, so both shifted addends are int32 and their sum
+/// leaves the 32-bit carrier iff the int32 add wraps (both addends share a
+/// sign the sum lacks). Returns the overflow flag for the whole tile:
+/// which k-block overflowed is unobservable, and after a wrap the lanes
+/// only hold garbage the caller discards by throwing.
+bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
+                       const std::int32_t* yexp, int bks, std::int64_t* out,
+                       std::int32_t* out_exp) {
   __m256i yp[4];
   __m256i acc[8];
   load_tile8(yi, yp);
@@ -206,37 +216,26 @@ bool tile8_reduce(const BfpBlock* x, const std::int16_t* yi,
   }
   std::int32_t acc_exp = x[0].expb + yexp[0];
   __m256i bad = _mm256_setzero_si256();
-  if (bks > 1) {
-    const __m256i bias = _mm256_set1_epi32(
-        kFullWidth ? 0 : static_cast<std::int32_t>(1U << (psu_bits - 1)));
-    const __m128i range = _mm_cvtsi32_si128(psu_bits);
-    for (int bk = 1; bk < bks; ++bk) {
-      // Eqn 3: align the smaller-exponent operand right with truncation.
-      // vpsrad fills counts >= 32 with the sign, which is asr() for int32
-      // values, so every shift count is served natively.
-      const std::int32_t p_exp = x[bk].expb + yexp[bk];
-      const std::int32_t e = std::max(acc_exp, p_exp);
-      const __m128i shift_acc = _mm_cvtsi32_si128(e - acc_exp);
-      const __m128i shift_p = _mm_cvtsi32_si128(e - p_exp);
-      load_tile8(yi + static_cast<std::size_t>(bk) * 64, yp);
-      xm = x[bk].man.data();
-      for (int i = 0; i < 8; ++i) {
-        const __m256i a = _mm256_sra_epi32(acc[i], shift_acc);
-        const __m256i p = _mm256_sra_epi32(
-            tile8_row(xm + static_cast<std::size_t>(i) * 8, yp), shift_p);
-        const __m256i s = _mm256_add_epi32(a, p);
-        if constexpr (kFullWidth) {
-          bad = _mm256_or_si256(
-              bad, _mm256_and_si256(_mm256_xor_si256(a, s),
-                                    _mm256_xor_si256(p, s)));
-        } else {
-          bad = _mm256_or_si256(
-              bad, _mm256_srl_epi32(_mm256_add_epi32(s, bias), range));
-        }
-        acc[i] = s;
-      }
-      acc_exp = e;
+  for (int bk = 1; bk < bks; ++bk) {
+    // Eqn 3: align the smaller-exponent operand right with truncation.
+    // vpsrad fills counts >= 32 with the sign, which is asr() for int32
+    // values, so every shift count is served natively.
+    const std::int32_t p_exp = x[bk].expb + yexp[bk];
+    const std::int32_t e = std::max(acc_exp, p_exp);
+    const __m128i shift_acc = _mm_cvtsi32_si128(e - acc_exp);
+    const __m128i shift_p = _mm_cvtsi32_si128(e - p_exp);
+    load_tile8(yi + static_cast<std::size_t>(bk) * 64, yp);
+    xm = x[bk].man.data();
+    for (int i = 0; i < 8; ++i) {
+      const __m256i a = _mm256_sra_epi32(acc[i], shift_acc);
+      const __m256i p = _mm256_sra_epi32(
+          tile8_row(xm + static_cast<std::size_t>(i) * 8, yp), shift_p);
+      const __m256i s = _mm256_add_epi32(a, p);
+      bad = _mm256_or_si256(bad, _mm256_and_si256(_mm256_xor_si256(a, s),
+                                                  _mm256_xor_si256(p, s)));
+      acc[i] = s;
     }
+    acc_exp = e;
   }
   for (int i = 0; i < 8; ++i) {
     std::int64_t* orow = out + static_cast<std::size_t>(i) * 8;
@@ -247,31 +246,10 @@ bool tile8_reduce(const BfpBlock* x, const std::int16_t* yi,
         _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc[i], 1)));
   }
   *out_exp = acc_exp;
-  const __m256i flag = _mm256_set1_epi32(
-      kFullWidth ? std::numeric_limits<std::int32_t>::min() : -1);
-  return _mm256_testz_si256(bad, flag) == 0;
-}
-
-}  // namespace
-
-bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
-                       const std::int32_t* yexp, int bks, int psu_bits,
-                       std::int64_t* out, std::int32_t* out_exp);
-
-/// One 8x8 output tile's whole k-reduction (Eqn 2 products, Eqn 3
-/// merges) with the accumulator held in eight int32 registers. `x` is the
-/// tile's row of A blocks; `yi`/`yexp` are the tile's column of B blocks,
-/// staged pair-interleaved and contiguous in bk. Exact because every
-/// accepted partial sum fits psu_bits <= 32 and every product fits int32
-/// (the int32-safety gate). Returns the overflow flag for the whole tile:
-/// which k-block overflowed is unobservable, and after a wrap the lanes
-/// only hold garbage the caller discards by throwing.
-bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
-                       const std::int32_t* yexp, int bks, int psu_bits,
-                       std::int64_t* out, std::int32_t* out_exp) {
-  return psu_bits >= 32
-             ? tile8_reduce<true>(x, yi, yexp, bks, psu_bits, out, out_exp)
-             : tile8_reduce<false>(x, yi, yexp, bks, psu_bits, out, out_exp);
+  // Only the sign bit of each lane's wrap test is meaningful.
+  const __m256i sign =
+      _mm256_set1_epi32(std::numeric_limits<std::int32_t>::min());
+  return _mm256_testz_si256(bad, sign) == 0;
 }
 
 bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
@@ -322,7 +300,7 @@ bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
 void tile_product_avx2(const std::int16_t*, const std::int16_t*,
                        const std::int16_t*, int, int, int, std::int64_t*) {}
 bool tile8_reduce_avx2(const BfpBlock*, const std::int16_t*,
-                       const std::int32_t*, int, int, std::int64_t*,
+                       const std::int32_t*, int, std::int64_t*,
                        std::int32_t*) {
   return false;
 }

@@ -862,8 +862,8 @@ TEST(GoldenDiff, DispatchPsuContractParityVsReference) {
   // not only the paper's 32 bits: the same bytes, or the same exception —
   // HardwareContractError for an overflowing partial sum, Error for a
   // psu_bits outside [8, 62] once a tile has two or more k-blocks. The
-  // widths straddle each route: the int32 reduce kernel (<= 32, with the
-  // wrap test at exactly 32) and the int64 product + merge route (> 32).
+  // widths straddle each route: the int32 reduce kernel (exactly 32, its
+  // wrap test) and the int64 product + merge route (every other width).
   // A's block rows vary (B stays 8x8) so formats the 8x8x8 kernel cannot
   // serve are covered too. Operand families: mixed per-row scales,
   // moderate and extreme exponent skew along k (alignment shifts in
@@ -949,8 +949,8 @@ TEST(GoldenDiff, DispatchPsuCarrierBoundaries) {
   // N * 129032 at one exponent, so no alignment shift ever drops a bit.
   // N = 16643 is the largest count whose sum fits an int32 carrier (the
   // reduce kernel's wrap test); at N = 16644 the sum leaves it in either
-  // sign. N = 8321 / 8322 straddle the 31-bit carrier (the biased range
-  // test). Every tier must fit or throw exactly where the reference does,
+  // sign. N = 8321 / 8322 straddle the 31-bit carrier (the int64 merge's
+  // range test). Every tier must fit or throw exactly where the reference does,
   // and one bit more of carrier must hold the larger count.
   const BfpFormat fmt = bfp8_format();
   const struct {
