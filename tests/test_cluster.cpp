@@ -400,6 +400,49 @@ TEST(ClusterExecutor, TensorGoldenStatsAndDigests) {
   }
 }
 
+struct PipelineGolden {
+  int depth = 0;
+  int cards = 0;
+  std::vector<std::uint64_t> card_compute_cycles;
+  std::vector<std::uint64_t> stage_send_cycles;
+  std::uint64_t compute_cycles = 0;
+  std::uint64_t collective_cycles = 0;
+  std::uint64_t collective_bytes = 0;
+  std::uint64_t bfp_macs = 0;
+  std::uint64_t digest = 0;
+};
+
+// Golden pins for the pipeline strategy, captured while each stage still
+// ran its own VitModel copy, before stages became block ranges of the
+// shared encoder-block walk. Never regenerate these values.
+TEST(ClusterExecutor, PipelineGoldenStatsAndDigests) {
+  const PipelineGolden goldens[] = {
+      {2, 1, {29540}, {}, 29540, 0, 0, 1745152, 0x830aed9edd948a96ULL},
+      {2, 2, {14770, 14770}, {836}, 29540, 836, 4352, 1745152,
+       0x830aed9edd948a96ULL},
+      {4, 4, {14770, 14770, 14770, 14770}, {836, 836, 836}, 59080, 2508,
+       13056, 3490304, 0x38393cf9d589ee08ULL},
+  };
+  for (const PipelineGolden& g : goldens) {
+    SCOPED_TRACE("depth=" + std::to_string(g.depth) +
+                 " cards=" + std::to_string(g.cards));
+    VitConfig cfg = tp2_config();
+    cfg.depth = g.depth;
+    const ClusterExecutor exec(random_weights(cfg, 37),
+                               ClusterTopology::ring(g.cards),
+                               PartitionStrategy::kPipeline);
+    ClusterStats s;
+    const std::vector<float> out = exec.forward(random_embeddings(cfg, 41), &s);
+    EXPECT_EQ(s.card_compute_cycles, g.card_compute_cycles);
+    EXPECT_EQ(s.stage_send_cycles, g.stage_send_cycles);
+    EXPECT_EQ(s.compute_cycles, g.compute_cycles);
+    EXPECT_EQ(s.collective_cycles, g.collective_cycles);
+    EXPECT_EQ(s.collective_bytes, g.collective_bytes);
+    EXPECT_EQ(s.bfp_macs, g.bfp_macs);
+    EXPECT_EQ(fnv1a_bits(out), g.digest);
+  }
+}
+
 // ---- executor: stream timing ----------------------------------------------
 
 TEST(ClusterExecutor, SingleRequestStreamMatchesRequestLatency) {
