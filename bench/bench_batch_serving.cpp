@@ -13,6 +13,7 @@
 #include <cstring>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "fabric/scheduler.hpp"
@@ -23,7 +24,7 @@ int main(int argc, char** argv) {
   int threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      threads = parse_threads_arg(argv[0], argv[++i]);
     } else {
       std::cerr << "usage: " << argv[0] << " [--threads N]\n";
       return 2;

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "cluster/cluster_executor.hpp"
 #include "common/thread_pool.hpp"
 
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
     if (a == "--smoke") {
       smoke = true;
     } else if (a == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      threads = parse_threads_arg(argv[0], argv[++i]);
     } else if (a == "--requests" && i + 1 < argc) {
       requests = std::atoi(argv[++i]);
     } else if (a == "--cards" && i + 1 < argc) {

@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -43,7 +44,7 @@ int main(int argc, char** argv) {
     if (a == "--smoke") {
       smoke = true;
     } else if (a == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      threads = parse_threads_arg(argv[0], argv[++i]);
     } else if (a == "--trials" && i + 1 < argc) {
       trials = std::atoi(argv[++i]);
     } else if (a == "--seed" && i + 1 < argc) {

@@ -22,8 +22,9 @@
 #include <string>
 #include <vector>
 
+#include "bench_args.hpp"
+#include "cluster/cluster_serving.hpp"
 #include "common/thread_pool.hpp"
-#include "serving/event_loop.hpp"
 
 int main(int argc, char** argv) {
   using namespace bfpsim;
@@ -37,7 +38,7 @@ int main(int argc, char** argv) {
     if (a == "--smoke") {
       smoke = true;
     } else if (a == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      threads = parse_threads_arg(argv[0], argv[++i]);
     } else if (a == "--requests" && i + 1 < argc) {
       requests = std::atoi(argv[++i]);
     } else if (a == "--seed" && i + 1 < argc) {

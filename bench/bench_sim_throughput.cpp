@@ -37,12 +37,13 @@
 #include <utility>
 #include <vector>
 
+#include "bench_args.hpp"
+#include "cluster/cluster_serving.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "numerics/bfp.hpp"
 #include "numerics/bfp_kernel.hpp"
 #include "pu/processing_unit.hpp"
-#include "serving/event_loop.hpp"
 
 namespace {
 
@@ -120,7 +121,7 @@ int main(int argc, char** argv) {
     if (a == "--smoke") {
       smoke = true;
     } else if (a == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
+      threads = parse_threads_arg(argv[0], argv[++i]);
     } else if (a == "--seed" && i + 1 < argc) {
       seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
     } else if (a == "--json-out" && i + 1 < argc) {

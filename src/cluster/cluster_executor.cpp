@@ -12,12 +12,6 @@ ClusterExecutor::ClusterExecutor(const VitWeights& weights,
     : topo_(std::move(topology)),
       plan_(partition_model(weights, strategy, topo_.num_cards())) {
   topo_.validate();
-  if (plan_.strategy == PartitionStrategy::kPipeline) {
-    stage_models_.reserve(plan_.stages.size());
-    for (const PipelineStage& stage : plan_.stages) {
-      stage_models_.emplace_back(stage.weights);
-    }
-  }
 }
 
 std::vector<float> ClusterExecutor::forward(std::vector<float> x,
@@ -27,15 +21,23 @@ std::vector<float> ClusterExecutor::forward(std::vector<float> x,
   sys.set_thread_pool(pool);
   ClusterStats local;
   if (plan_.strategy == PartitionStrategy::kPipeline) {
-    // Chaining the stage sub-models block-by-block is the single-card loop
-    // with the same state tensor carried across — bit-identical output.
-    for (int c = 0; c < plan_.cards; ++c) {
+    // Each stage walks its block range of the one block list, carrying the
+    // state tensor across: the single-card loop, split — bit-identical.
+    const std::span<const BlockWeights> blocks(plan_.blocks);
+    VitConfig stage_cfg = plan_.cfg;
+    for (const PipelineStage& stage : plan_.stages) {
+      const std::span<const BlockWeights> range = blocks.subspan(
+          static_cast<std::size_t>(stage.first_block),
+          static_cast<std::size_t>(stage.num_blocks));
+      stage_cfg.depth = stage.num_blocks;
       ForwardStats fstats;
-      x = stage_models_[static_cast<std::size_t>(c)].forward_mixed(
-          std::move(x), sys, &fstats);
+      x = forward_column_shards(
+          stage_cfg, std::span<const std::span<const BlockWeights>>(&range, 1),
+          std::move(x), sys, std::span<ForwardStats>(&fstats, 1));
       local.card_compute_cycles.push_back(fstats.total_cycles());
       local.compute_cycles += fstats.total_cycles();
       local.bfp_macs += fstats.bfp_macs;
+      const int c = stage.card;
       if (c + 1 < plan_.cards) {
         const std::uint64_t send =
             topo_.p2p_cycles(c, c + 1, plan_.boundary_bytes);
@@ -81,27 +83,6 @@ std::vector<float> ClusterExecutor::forward(std::vector<float> x,
   }
   if (stats != nullptr) *stats = std::move(local);
   return x;
-}
-
-ClusterExecutor::StreamResult ClusterExecutor::forward_stream(
-    std::span<const std::vector<float>> inputs, ThreadPool* pool) const {
-  StreamResult result;
-  result.features.resize(inputs.size());
-  result.per_request.resize(inputs.size());
-  auto run_one = [&](std::size_t i) {
-    result.features[i] =
-        forward(inputs[i], &result.per_request[i], nullptr);
-  };
-  if (pool != nullptr && pool->size() > 1 && inputs.size() > 1) {
-    pool->parallel_for(inputs.size(), run_one);
-  } else {
-    // Single request (or no pool): let the GEMM tiles use the workers.
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      result.features[i] = forward(inputs[i], &result.per_request[i], pool);
-    }
-  }
-  result.timing = assemble_timing(result.per_request);
-  return result;
 }
 
 StreamTiming ClusterExecutor::project_stream(const ClusterStats& per_request,

@@ -4,11 +4,13 @@
 //
 //  * functional — `forward` runs the sharded mixed bfp8/fp32 forward and
 //    returns features that are bit-identical to the single-card
-//    VitModel::forward_mixed for the same input. Pipeline chains each
-//    stage's forward_mixed; tensor runs forward_column_shards, the
-//    encoder-block walk forward_mixed itself runs, over the cards' column
-//    shards (the partitioner's column-split / all-gather discipline
-//    guarantees the bits; tests pin it);
+//    VitModel::forward_mixed for the same input. Both strategies run
+//    forward_column_shards, the encoder-block walk forward_mixed itself
+//    runs: pipeline once per stage over the stage's block range, carrying
+//    the activation across; tensor once over the cards' column shards (the
+//    partitioner's column-split / all-gather discipline guarantees the
+//    bits; tests pin it). Serving's functional phase over a request trace
+//    is cluster_forwards (cluster/cluster_serving.hpp);
 //
 //  * timing — per-card compute cycles come from each card's
 //    AcceleratorSystem latency model applied to that card's slice shapes,
@@ -94,17 +96,6 @@ class ClusterExecutor {
                              ClusterStats* stats = nullptr,
                              ThreadPool* pool = nullptr) const;
 
-  /// Push a request stream through the cluster. Functional forwards run in
-  /// index-owned slots (`pool` parallelizes across requests); the timing
-  /// recurrence is serial and analytic.
-  struct StreamResult {
-    std::vector<std::vector<float>> features;
-    std::vector<ClusterStats> per_request;
-    StreamTiming timing;
-  };
-  StreamResult forward_stream(std::span<const std::vector<float>> inputs,
-                              ThreadPool* pool = nullptr) const;
-
   /// Timing of an `requests`-long stream where every request costs
   /// `per_request` (the analytic projection benches use after one
   /// functional probe — per-request cycles are shape-driven).
@@ -117,7 +108,6 @@ class ClusterExecutor {
 
   ClusterTopology topo_;
   PartitionPlan plan_;
-  std::vector<VitModel> stage_models_;  ///< pipeline strategy only
 };
 
 }  // namespace bfpsim

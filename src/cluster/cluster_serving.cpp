@@ -87,4 +87,44 @@ ClusterServeResult serve_cluster(const ClusterExecutor& exec, int replicas,
   return out;
 }
 
+OnlineServeResult serve_online(const VitModel& model,
+                               const AcceleratorSystem& sys,
+                               const ArrivalTrace& trace,
+                               const ServePolicy& policy,
+                               ThreadPool* pool, Trace* event_trace) {
+  trace.validate();
+  policy.validate();
+  BFP_REQUIRE(sys.config().num_units >= 1,
+              "serve_online: system has no units");
+
+  // ---- phase 1: each request runs whole on one unit of the card ----
+  SystemConfig one = sys.config();
+  one.num_units = 1;
+  const ClusterExecutor exec(model.weights(), ClusterTopology::ring(1, {}, one),
+                             PartitionStrategy::kPipeline);
+  ClusterForwards fwd = cluster_forwards(exec, trace, pool);
+
+  // ---- phase 2: the serial event loop, one replica per unit ----
+  FleetSpec spec;
+  spec.freq_hz = sys.config().pu.freq_hz;
+  spec.replica_prefix = "unit";
+  ReplicaClassSpec units;
+  units.passes = std::move(fwd.passes);
+  units.initial_replicas = sys.config().num_units;
+  units.max_replicas = units.initial_replicas;
+  spec.classes.push_back(std::move(units));
+
+  OnlineServeResult out;
+  out.report = serve_fleet(spec, trace, policy, event_trace).serve;
+  // Only the bfp MAC counter: a single card has no collective traffic to
+  // report.
+  out.compute_cycles.reserve(fwd.request_stats.size());
+  for (const ClusterStats& st : fwd.request_stats) {
+    out.report.counters.add("serve.bfp_macs", st.bfp_macs);
+    out.compute_cycles.push_back(st.compute_cycles);
+  }
+  out.features = std::move(fwd.features);
+  return out;
+}
+
 }  // namespace bfpsim

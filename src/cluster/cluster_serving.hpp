@@ -1,15 +1,20 @@
-// Online serving against a cluster: `replicas` data-parallel copies of a
-// sharded (tensor- or pipeline-parallel) cluster stand behind the same
-// bounded admission queue and SLO-aware continuous batcher that serves the
-// single-card path — serve_fleet does not care that a replica is now a
-// whole multi-card cluster.
+// Online serving on top of the cluster executor. Two entry points share
+// one functional phase, cluster_forwards:
 //
-// Same two-phase split as serve_online: a parallel functional phase runs
-// every request's sharded forward into index-owned slots (bit-identical
-// for any worker count), then the serial virtual-time loop schedules the
-// replicas. A replica's service pass is: load the request activations over
-// the host link into card HBM, run the sharded forward (compute +
-// collectives on the request critical path), store the features back.
+//  * serve_cluster — `replicas` data-parallel copies of a sharded (tensor-
+//    or pipeline-parallel) cluster stand behind the bounded admission
+//    queue and SLO-aware continuous batcher of serve_fleet, which does not
+//    care that a replica is a whole multi-card cluster;
+//  * serve_online — single-card serving, where every PU unit of the card
+//    is a replica: phase 1 runs on a 1-card pipeline executor whose card
+//    has one unit.
+//
+// Both split the work in two: a parallel functional phase runs every
+// request's forward into index-owned slots (bit-identical for any worker
+// count), then the serial virtual-time loop schedules the replicas. A
+// replica's service pass is: load the request activations over the host
+// link into card HBM, run the forward (compute + collectives on the
+// request critical path), store the features back.
 #pragma once
 
 #include <cstdint>
@@ -63,5 +68,27 @@ ClusterServeResult serve_cluster(
     const ServePolicy& policy, ThreadPool* pool = nullptr,
     Trace* event_trace = nullptr,
     const std::vector<CardFailure>& card_failures = {});
+
+/// Outcome of one single-card serving run.
+struct OnlineServeResult {
+  ServeReport report;
+  /// Functional block outputs per request id (see ClusterForwards).
+  std::vector<std::vector<float>> features;
+  std::vector<std::uint64_t> compute_cycles;  ///< modelled, per request id
+};
+
+/// Serve `trace` against `model` on the multi-unit `sys`: every unit is a
+/// replica of the one loop.
+///
+/// `pool` parallelizes the functional forwards only (nullptr = serial);
+/// `event_trace`, when non-null and enabled, receives cycle-stamped
+/// queue/unit events (components "queue", "unit<k>") suitable for
+/// Trace::to_chrome_json().
+OnlineServeResult serve_online(const VitModel& model,
+                               const AcceleratorSystem& sys,
+                               const ArrivalTrace& trace,
+                               const ServePolicy& policy,
+                               ThreadPool* pool = nullptr,
+                               Trace* event_trace = nullptr);
 
 }  // namespace bfpsim

@@ -45,24 +45,10 @@ PartitionPlan partition_pipeline(const VitWeights& w, int cards) {
   plan.strategy = PartitionStrategy::kPipeline;
   plan.cards = cards;
   plan.cfg = cfg;
+  plan.blocks = w.blocks;
   const int per_stage = cfg.depth / cards;
   for (int c = 0; c < cards; ++c) {
-    PipelineStage stage;
-    stage.card = c;
-    stage.first_block = c * per_stage;
-    stage.num_blocks = per_stage;
-    stage.weights.cfg = cfg;
-    stage.weights.cfg.depth = per_stage;
-    stage.weights.blocks.assign(
-        w.blocks.begin() + stage.first_block,
-        w.blocks.begin() + stage.first_block + per_stage);
-    // Head parameters ride with every stage (only the last stage's are
-    // meaningful; copying keeps each stage a self-contained VitWeights).
-    stage.weights.head_gamma = w.head_gamma;
-    stage.weights.head_beta = w.head_beta;
-    stage.weights.head_w = w.head_w;
-    stage.weights.head_b = w.head_b;
-    plan.stages.push_back(std::move(stage));
+    plan.stages.push_back({c, c * per_stage, per_stage});
   }
   plan.boundary_bytes = static_cast<std::uint64_t>(cfg.tokens()) *
                         static_cast<std::uint64_t>(cfg.embed_dim) *

@@ -45,12 +45,12 @@ enum class PartitionStrategy { kPipeline, kTensor };
 
 const char* to_string(PartitionStrategy s);
 
-/// One pipeline stage: a contiguous block range as a standalone sub-model.
+/// One pipeline stage: card `card` runs the shared encoder-block walk over
+/// blocks [first_block, first_block + num_blocks) of PartitionPlan::blocks.
 struct PipelineStage {
   int card = 0;
   int first_block = 0;
   int num_blocks = 0;
-  VitWeights weights;  ///< cfg.depth == num_blocks; head params copied
 };
 
 /// One card's share of every encoder block under tensor parallelism.
@@ -70,7 +70,10 @@ struct PartitionPlan {
   VitConfig cfg;
 
   std::vector<PipelineStage> stages;  ///< pipeline strategy only
-  std::vector<TensorShard> shards;    ///< tensor strategy only
+  /// Pipeline strategy only: the model's encoder blocks, held once; the
+  /// stages are ranges of it.
+  std::vector<BlockWeights> blocks;
+  std::vector<TensorShard> shards;  ///< tensor strategy only
 
   /// Activation tensor crossing one pipeline boundary (tokens * d * 4).
   std::uint64_t boundary_bytes = 0;

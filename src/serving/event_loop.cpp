@@ -577,72 +577,4 @@ std::string FleetReport::to_json() const {
   return os.str();
 }
 
-OnlineServeResult serve_online(const VitModel& model,
-                               const AcceleratorSystem& sys,
-                               const ArrivalTrace& trace,
-                               const ServePolicy& policy,
-                               ThreadPool* pool, Trace* event_trace) {
-  trace.validate();
-  policy.validate();
-  const VitConfig& cfg = model.config();
-  const auto un = static_cast<std::size_t>(trace.total_requests);
-
-  OnlineServeResult out;
-  out.features.resize(un);
-  out.compute_cycles.resize(un);
-  std::vector<ForwardStats> stats(un);
-
-  // ---- phase 1: functional forwards (parallel, index-owned slots) ----
-  // Request i's embeddings derive from trace.seed + i; each work item owns
-  // slot i and builds its own single-unit AcceleratorSystem, so any worker
-  // interleaving produces the serial loop's bits (PR 1 discipline).
-  SystemConfig one = sys.config();
-  one.num_units = 1;
-  auto run_request = [&](std::size_t i) {
-    const AcceleratorSystem unit(one);
-    std::vector<float> x = random_embeddings(
-        cfg, trace.seed + static_cast<std::uint64_t>(i));
-    out.features[i] = model.forward_mixed(std::move(x), unit, &stats[i]);
-    out.compute_cycles[i] = stats[i].total_cycles();
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(un, run_request);
-  } else {
-    for (std::size_t i = 0; i < un; ++i) run_request(i);
-  }
-
-  // ---- phase 2: the serial event loop, one replica per unit ----
-  const HbmConfig& hbm = sys.config().hbm;
-  const std::uint64_t in_bytes =
-      static_cast<std::uint64_t>(cfg.tokens()) *
-      static_cast<std::uint64_t>(cfg.embed_dim) * sizeof(float);
-  const std::uint64_t load_cycles =
-      transfer_cycles(hbm, in_bytes, hbm.bfp_burst_bytes);
-  // Features are tokens x d for every request of this model.
-  const std::uint64_t store_cycles = load_cycles;
-
-  BFP_REQUIRE(sys.config().num_units >= 1,
-              "serve_online: system has no units");
-  FleetSpec spec;
-  spec.freq_hz = sys.config().pu.freq_hz;
-  spec.replica_prefix = "unit";
-  ReplicaClassSpec units;
-  units.initial_replicas = sys.config().num_units;
-  units.max_replicas = units.initial_replicas;
-  units.passes.reserve(un);
-  for (std::size_t i = 0; i < un; ++i) {
-    units.passes.push_back(
-        {load_cycles, out.compute_cycles[i], store_cycles});
-  }
-  spec.classes.push_back(std::move(units));
-  out.report = serve_fleet(spec, trace, policy, event_trace).serve;
-
-  // Functional-work counters, merged in request-id order (deterministic;
-  // Counters is key-ordered, so merging after the loop changes nothing).
-  for (std::size_t i = 0; i < un; ++i) {
-    out.report.counters.add("serve.bfp_macs", stats[i].bfp_macs);
-  }
-  return out;
-}
-
 }  // namespace bfpsim

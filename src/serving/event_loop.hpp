@@ -1,13 +1,17 @@
 // The online request-serving engine: one deterministic virtual-time event
 // loop behind single-card serving (serve_online), cluster serving
-// (serve_cluster) and fleet serving (Session::serve_fleet).
+// (serve_cluster) and fleet serving (Session::serve_fleet). This module
+// holds the loop and its pass tables only; the callers and their
+// functional phase live in cluster/cluster_serving.hpp and
+// runtime/session.hpp.
 //
 // Execution is split the same way PR 1's batch engine splits it:
 //
-//  1. a *parallel functional phase* — every request's forward runs into an
-//     index-owned slot (shared read-only model), giving per-request
-//     features and modelled compute cycles for any worker count
-//     bit-identically; the caller turns them into per-request pass costs;
+//  1. a *parallel functional phase* — cluster_forwards runs every
+//     request's forward into an index-owned slot (shared read-only
+//     model), giving per-request features and modelled compute cycles for
+//     any worker count bit-identically, and turns them into per-request
+//     pass costs;
 //  2. a *serial virtual-time phase* — serve_fleet consumes the arrival
 //     trace, pushes requests through the bounded admission queue, and lets
 //     the SLO-aware continuous batcher form batches on the fly: whenever a
@@ -49,9 +53,7 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "fabric/pipeline.hpp"
-#include "fabric/system.hpp"
 #include "reliability/fault_model.hpp"
 #include "serving/autoscaler.hpp"
 #include "serving/metrics.hpp"
@@ -60,7 +62,6 @@
 #include "serving/tenant.hpp"
 #include "serving/workload.hpp"
 #include "sim/trace.hpp"
-#include "transformer/model.hpp"
 
 namespace bfpsim {
 
@@ -170,29 +171,5 @@ struct FleetReport {
 FleetReport serve_fleet(const FleetSpec& spec, const ArrivalTrace& trace,
                         const ServePolicy& policy,
                         Trace* event_trace = nullptr);
-
-/// Outcome of one serving run.
-struct OnlineServeResult {
-  ServeReport report;
-  /// Functional block outputs per request id. Forwards run for all ids up
-  /// front (that is what makes phase 1 parallelizable), so every slot is
-  /// populated even for requests the queue later rejected.
-  std::vector<std::vector<float>> features;
-  std::vector<std::uint64_t> compute_cycles;  ///< modelled, per request id
-};
-
-/// Serve `trace` against `model` on the multi-unit `sys`: every unit is a
-/// replica of the one loop.
-///
-/// `pool` parallelizes the functional forwards only (nullptr = serial);
-/// `event_trace`, when non-null and enabled, receives cycle-stamped
-/// queue/unit events (components "queue", "unit<k>") suitable for
-/// Trace::to_chrome_json().
-OnlineServeResult serve_online(const VitModel& model,
-                               const AcceleratorSystem& sys,
-                               const ArrivalTrace& trace,
-                               const ServePolicy& policy,
-                               ThreadPool* pool = nullptr,
-                               Trace* event_trace = nullptr);
 
 }  // namespace bfpsim

@@ -17,11 +17,11 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/cluster_serving.hpp"
 #include "common/arena.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "fabric/system.hpp"
-#include "serving/event_loop.hpp"
 #include "serving/workload.hpp"
 #include "transformer/config.hpp"
 #include "transformer/model.hpp"

@@ -175,11 +175,16 @@ TEST(Partitioner, PipelineSplitsBlocksContiguously) {
   const PartitionPlan plan =
       partition_model(w, PartitionStrategy::kPipeline, 2);
   ASSERT_EQ(plan.stages.size(), 2u);
+  EXPECT_EQ(plan.stages[0].card, 0);
+  EXPECT_EQ(plan.stages[1].card, 1);
   EXPECT_EQ(plan.stages[0].first_block, 0);
   EXPECT_EQ(plan.stages[1].first_block, 1);
-  EXPECT_EQ(plan.stages[0].weights.cfg.depth, 1);
-  EXPECT_EQ(plan.stages[0].weights.blocks[0].qkv_w, w.blocks[0].qkv_w);
-  EXPECT_EQ(plan.stages[1].weights.blocks[0].qkv_w, w.blocks[1].qkv_w);
+  EXPECT_EQ(plan.stages[0].num_blocks, 1);
+  EXPECT_EQ(plan.stages[1].num_blocks, 1);
+  // The plan holds the model's blocks once; the stages are ranges of it.
+  ASSERT_EQ(plan.blocks.size(), w.blocks.size());
+  EXPECT_EQ(plan.blocks[0].qkv_w, w.blocks[0].qkv_w);
+  EXPECT_EQ(plan.blocks[1].qkv_w, w.blocks[1].qkv_w);
   EXPECT_EQ(plan.boundary_bytes,
             static_cast<std::uint64_t>(cfg.tokens()) * cfg.embed_dim *
                 sizeof(float));
@@ -502,27 +507,6 @@ TEST(ClusterExecutor, TwoCardPipelinePrefillSpeedupAtLeast1p6x) {
   }
 }
 
-TEST(ClusterExecutor, ForwardStreamMatchesPerRequestForward) {
-  const VitConfig cfg = tp2_config();
-  const VitWeights w = random_weights(cfg, 31);
-  const ClusterExecutor exec(w, ClusterTopology::ring(2),
-                             PartitionStrategy::kTensor);
-  std::vector<std::vector<float>> inputs;
-  for (int i = 0; i < 3; ++i) {
-    inputs.push_back(random_embeddings(cfg, 100 + i));
-  }
-  ThreadPool pool(4);
-  const auto stream = exec.forward_stream(inputs, &pool);
-  ASSERT_EQ(stream.features.size(), 3u);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    const std::vector<float> want = exec.forward(inputs[i]);
-    EXPECT_EQ(0, std::memcmp(stream.features[i].data(), want.data(),
-                             want.size() * sizeof(float)));
-  }
-  EXPECT_EQ(stream.timing.requests, 3);
-  EXPECT_GT(stream.timing.makespan_cycles, 0u);
-}
-
 // ---- cluster serving -------------------------------------------------------
 
 TEST(ClusterServing, OneCardReplicaMatchesSingleUnitServeOnline) {
@@ -562,6 +546,28 @@ TEST(ClusterServing, OneCardReplicaMatchesSingleUnitServeOnline) {
   for (std::size_t i = 0; i < want.features.size(); ++i) {
     EXPECT_EQ(0, std::memcmp(got.features[i].data(), want.features[i].data(),
                              want.features[i].size() * sizeof(float)));
+  }
+}
+
+TEST(ClusterServing, ClusterForwardsMatchPerRequestForward) {
+  const VitConfig cfg = tp2_config();
+  const VitWeights w = random_weights(cfg, 31);
+  const ClusterExecutor exec(w, ClusterTopology::ring(2),
+                             PartitionStrategy::kTensor);
+  const ArrivalTrace trace = poisson_trace(3, 4000.0, 100);
+  ThreadPool pool(4);
+  const ClusterForwards fwd = cluster_forwards(exec, trace, &pool);
+  ASSERT_EQ(fwd.features.size(), 3u);
+  ASSERT_EQ(fwd.passes.size(), 3u);
+  for (std::size_t i = 0; i < fwd.features.size(); ++i) {
+    ClusterStats stats;
+    const std::vector<float> want =
+        exec.forward(random_embeddings(cfg, trace.seed + i), &stats);
+    EXPECT_EQ(0, std::memcmp(fwd.features[i].data(), want.data(),
+                             want.size() * sizeof(float)));
+    EXPECT_EQ(fwd.request_stats[i].card_compute_cycles,
+              stats.card_compute_cycles);
+    EXPECT_EQ(fwd.passes[i].compute_cycles, stats.total_cycles());
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <set>
 
+#include "cluster/cluster_serving.hpp"
 #include "common/error.hpp"
 #include "runtime/session.hpp"
 #include "serving/metrics.hpp"
@@ -134,6 +135,21 @@ TEST(ServingOnline, BitIdenticalForAnyWorkerCount) {
       base = std::move(r);
       have_base = true;
       EXPECT_FALSE(base.report.records.empty());
+      // Request i is a direct single-unit forward of its seeded
+      // embeddings: same bits, same modelled cycles.
+      SystemConfig one = sys.config();
+      one.num_units = 1;
+      const AcceleratorSystem unit(one);
+      ASSERT_EQ(base.features.size(), 24u);
+      ASSERT_EQ(base.compute_cycles.size(), 24u);
+      for (std::size_t i = 0; i < base.features.size(); ++i) {
+        ForwardStats stats;
+        const std::vector<float> want = model.forward_mixed(
+            random_embeddings(cfg, trace.seed + i), unit, &stats);
+        EXPECT_EQ(base.features[i], want) << "request " << i;
+        EXPECT_EQ(base.compute_cycles[i], stats.total_cycles())
+            << "request " << i;
+      }
       continue;
     }
     // Per-request latency records, field by field.

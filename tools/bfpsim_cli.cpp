@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -655,20 +656,14 @@ int cmd_serve(int argc, char** argv) {
   const VitModel model{random_weights(cfg, 42)};
   const double freq = sys.config().pu.freq_hz;
 
-  // One sharded replica, reused for probing and (phase 1) serving.
-  const ClusterExecutor* exec = nullptr;
-  ClusterExecutor exec_storage = [&] {
-    if (!clustered) {
-      // Placeholder 1-card pipeline (valid for any depth); unused when
-      // serving single-card.
-      return ClusterExecutor(model.weights(), ClusterTopology::ring(1),
-                             PartitionStrategy::kPipeline);
-    }
-    const ClusterTopology topo =
-        ClusterTopology::ring(cards, LinkConfig{}, sys.config());
-    return ClusterExecutor(model.weights(), topo, strategy);
-  }();
-  if (clustered) exec = &exec_storage;
+  // One sharded replica, reused for probing and (phase 1) serving; only a
+  // clustered run has one.
+  std::optional<ClusterExecutor> exec;
+  if (clustered) {
+    exec.emplace(model.weights(),
+                 ClusterTopology::ring(cards, LinkConfig{}, sys.config()),
+                 strategy);
+  }
 
   if (threads <= 0) threads = ThreadPool::hardware_threads();
   ThreadPool pool(threads);
