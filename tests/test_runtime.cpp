@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "transformer/serving.hpp"
 
 namespace bfpsim {
 namespace {
@@ -160,6 +166,69 @@ TEST(Session, BatchInferenceSchedulesAcrossUnits) {
   }
   const std::vector<std::vector<float>> empty;
   EXPECT_THROW(session.infer_batch(id, empty), Error);
+}
+
+// ---- batch: parent-captured goldens ----------------------------------------
+
+// Golden pins for the functional batch: every image's compute cycles, the
+// LPT schedule numbers, and an FNV-1a digest of every image's feature bits
+// (image order), captured from the one-unit-per-image batch engine
+// (execute_transformer_batch) before Session::infer_batch took it over.
+// Never regenerate these values.
+std::uint64_t fnv1a_features(
+    const std::vector<std::vector<float>>& features) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::vector<float>& image : features) {
+    for (const float f : image) {
+      std::uint32_t bits = 0;
+      std::memcpy(&bits, &f, sizeof bits);
+      for (int i = 0; i < 4; ++i) {
+        h ^= (bits >> (8 * i)) & 0xFFU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+struct BatchGolden {
+  int images = 0;
+  std::uint64_t image_cycles = 0;  ///< every image (shape-determined)
+  std::uint64_t makespan_cycles = 0;
+  double utilization = 0.0;
+  double images_per_second = 0.0;
+  std::uint64_t digest = 0;
+};
+
+TEST(Session, BatchGoldenTiming) {
+  // vit_test_tiny, weights seed 17, default 15-unit system; image i has
+  // embeddings seed 100 + i. 7 images fill one LPT round, 17 need two.
+  const BatchGolden goldens[] = {
+      {7, 261172, 261172, 0.46666666666666667, 8040.6781737705423,
+       0x071cef392c35492fULL},
+      {17, 261172, 522344, 0.56666666666666665, 9763.6806395785152,
+       0x5ce9dcab70dfd770ULL},
+  };
+  const VitConfig cfg = vit_test_tiny();
+  const VitModel model{random_weights(cfg, 17)};
+  const AcceleratorSystem sys;
+  for (const BatchGolden& g : goldens) {
+    SCOPED_TRACE("images=" + std::to_string(g.images));
+    std::vector<std::vector<float>> images;
+    for (int i = 0; i < g.images; ++i) {
+      images.push_back(
+          random_embeddings(cfg, 100 + static_cast<std::uint64_t>(i)));
+    }
+    const BatchExecution b = execute_transformer_batch(model, sys, images);
+    ASSERT_EQ(b.image_cycles.size(), images.size());
+    for (const std::uint64_t c : b.image_cycles) {
+      EXPECT_EQ(c, g.image_cycles);
+    }
+    EXPECT_EQ(b.timing.makespan_cycles, g.makespan_cycles);
+    EXPECT_DOUBLE_EQ(b.timing.utilization, g.utilization);
+    EXPECT_DOUBLE_EQ(b.timing.images_per_second, g.images_per_second);
+    EXPECT_EQ(fnv1a_features(b.features), g.digest);
+  }
 }
 
 TEST(Session, UndeployReleasesMemory) {
