@@ -17,7 +17,8 @@
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
 #include "fabric/scheduler.hpp"
-#include "transformer/serving.hpp"
+#include "runtime/session.hpp"
+#include "transformer/latency.hpp"
 
 int main(int argc, char** argv) {
   using namespace bfpsim;
@@ -93,10 +94,12 @@ int main(int argc, char** argv) {
                "this).\n\n";
 
   // Functional batch execution on the parallel engine: every image really
-  // flows through the bfp8/fp32 forward. Modelled cycles are engine-
-  // invariant; wall-clock shows the host-side speedup from --threads.
+  // flows through the bfp8/fp32 forward on its own one-unit system
+  // (Session::infer_batch). Modelled cycles are engine-invariant;
+  // wall-clock shows the host-side speedup from --threads.
   const VitConfig fcfg = vit_test_tiny();
-  const VitModel model{random_weights(fcfg, 42)};
+  Session session(sys.config());
+  const ModelId id = session.deploy(random_weights(fcfg, 42));
   std::vector<std::vector<float>> images;
   for (int i = 0; i < 16; ++i) {
     images.push_back(random_embeddings(fcfg, 1000 + i));
@@ -106,26 +109,25 @@ int main(int argc, char** argv) {
             << images.size() << ", " << pool.size() << " host thread"
             << (pool.size() == 1 ? "" : "s") << "):\n\n";
   const auto t0 = std::chrono::steady_clock::now();
-  const BatchExecution exec =
-      execute_transformer_batch(model, sys, images, &pool);
+  const Session::BatchInference batch =
+      session.infer_batch(id, images, &pool);
   const auto t1 = std::chrono::steady_clock::now();
   const double wall_ms =
       std::chrono::duration<double, std::milli>(t1 - t0).count();
+  std::uint64_t bfp_macs = 0;
+  for (const InferenceResult& r : batch.results) bfp_macs += r.stats.bfp_macs;
   std::cout << "  modelled makespan      "
-            << fmt_double(static_cast<double>(exec.timing.makespan_cycles) /
+            << fmt_double(static_cast<double>(batch.makespan_cycles) /
                               sys.config().pu.freq_hz * 1e3,
                           3)
-            << " ms (" << exec.timing.makespan_cycles << " cycles)\n"
-            << "  with exposed DMA       " << exec.io_makespan_cycles
-            << " cycles\n"
+            << " ms (" << batch.makespan_cycles << " cycles)\n"
             << "  modelled images/s      "
-            << fmt_double(exec.timing.images_per_second, 1) << "\n"
+            << fmt_double(batch.images_per_second, 1) << "\n"
             << "  unit utilization       "
-            << fmt_percent(100.0 * exec.timing.utilization, 1) << "\n"
+            << fmt_percent(100.0 * batch.utilization, 1) << "\n"
             << "  host wall-clock        " << fmt_double(wall_ms, 1)
             << " ms (simulation cost, not modelled time)\n"
-            << "  bfp MACs simulated     "
-            << exec.counters.get("serving.bfp_macs") << "\n";
+            << "  bfp MACs simulated     " << bfp_macs << "\n";
   std::cout << "\nModelled numbers above are bit-identical for any "
                "--threads value;\nonly the host wall-clock line changes.\n";
   return 0;

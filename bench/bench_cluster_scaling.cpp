@@ -12,8 +12,12 @@
 // Usage: bench_cluster_scaling [--smoke] [--threads N] [--requests N]
 //                              [--cards LIST] [--seed S] [--json-out FILE]
 //   --smoke     CI-sized: vit-test-tiny, 2 cards max, few requests
-//   --cards     comma-separated card counts (default 1,2,4; smoke: 1,2)
+//   --cards     comma-separated card counts, each in [1, 1024]
+//               (default 1,2,4; smoke: 1,2)
 //   --json-out  write the JSON there instead of stdout
+// Numeric flags are range-checked (bench_args.hpp; garbage or out of
+// range exits 2): --threads [0, 1024], --requests [0, 2^20] (0 = the
+// per-mode default), --seed any unsigned 64-bit integer.
 //
 // JSON goes to stdout (or the file); the human-readable summary to stderr.
 #include <cstdio>
@@ -43,11 +47,12 @@ int main(int argc, char** argv) {
     } else if (a == "--threads" && i + 1 < argc) {
       threads = parse_threads_arg(argv[0], argv[++i]);
     } else if (a == "--requests" && i + 1 < argc) {
-      requests = std::atoi(argv[++i]);
+      requests = static_cast<int>(
+          parse_int_arg(argv[0], "--requests", argv[++i], 0, 1 << 20));
     } else if (a == "--cards" && i + 1 < argc) {
       cards_arg = argv[++i];
     } else if (a == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      seed = parse_seed_arg(argv[0], argv[++i]);
     } else if (a == "--json-out" && i + 1 < argc) {
       json_path = argv[++i];
     } else {
@@ -68,12 +73,8 @@ int main(int argc, char** argv) {
     std::stringstream ss(cards_arg);
     std::string tok;
     while (std::getline(ss, tok, ',')) {
-      const int n = std::atoi(tok.c_str());
-      if (n < 1) {
-        std::fprintf(stderr, "error: bad --cards entry '%s'\n", tok.c_str());
-        return 2;
-      }
-      card_counts.push_back(n);
+      card_counts.push_back(static_cast<int>(
+          parse_int_arg(argv[0], "--cards", tok.c_str(), 1, 1024)));
     }
   }
 

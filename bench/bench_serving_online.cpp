@@ -12,6 +12,9 @@
 //                             [--seed S] [--json-out FILE]
 //   --smoke     tiny trace (CI-sized: a few requests, one rate per regime)
 //   --json-out  write the JSON there instead of stdout
+// Numeric flags are range-checked (bench_args.hpp; garbage or out of
+// range exits 2): --threads [0, 1024], --requests [0, 2^20] (0 = the
+// per-mode default), --seed any unsigned 64-bit integer.
 //
 // JSON goes to stdout (or the file); the human-readable summary to stderr.
 #include <cstdio>
@@ -40,9 +43,10 @@ int main(int argc, char** argv) {
     } else if (a == "--threads" && i + 1 < argc) {
       threads = parse_threads_arg(argv[0], argv[++i]);
     } else if (a == "--requests" && i + 1 < argc) {
-      requests = std::atoi(argv[++i]);
+      requests = static_cast<int>(
+          parse_int_arg(argv[0], "--requests", argv[++i], 0, 1 << 20));
     } else if (a == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      seed = parse_seed_arg(argv[0], argv[++i]);
     } else if (a == "--json-out" && i + 1 < argc) {
       json_path = argv[++i];
     } else {

@@ -26,6 +26,9 @@
 // Usage: bench_sim_throughput [--smoke] [--threads N] [--json-out FILE]
 //                             [--baseline FILE] [--tolerance T]
 //                             [--check-speedup X] [--seed S]
+// Numeric flags are range-checked (bench_args.hpp; garbage or out of
+// range exits 2): --threads [0, 1024], --tolerance [0, 1],
+// --check-speedup [0, 1e6] (0 = off), --seed any unsigned 64-bit integer.
 // JSON to stdout (or --json-out); human summary to stderr.
 #include <chrono>
 #include <cstdio>
@@ -123,15 +126,17 @@ int main(int argc, char** argv) {
     } else if (a == "--threads" && i + 1 < argc) {
       threads = parse_threads_arg(argv[0], argv[++i]);
     } else if (a == "--seed" && i + 1 < argc) {
-      seed = static_cast<std::uint64_t>(std::atoll(argv[++i]));
+      seed = parse_seed_arg(argv[0], argv[++i]);
     } else if (a == "--json-out" && i + 1 < argc) {
       json_path = argv[++i];
     } else if (a == "--baseline" && i + 1 < argc) {
       baseline_path = argv[++i];
     } else if (a == "--tolerance" && i + 1 < argc) {
-      tolerance = std::atof(argv[++i]);
+      tolerance =
+          parse_double_arg(argv[0], "--tolerance", argv[++i], 0.0, 1.0);
     } else if (a == "--check-speedup" && i + 1 < argc) {
-      check_speedup = std::atof(argv[++i]);
+      check_speedup =
+          parse_double_arg(argv[0], "--check-speedup", argv[++i], 0.0, 1e6);
     } else {
       std::fprintf(stderr,
                    "usage: %s [--smoke] [--threads N] [--seed S] "

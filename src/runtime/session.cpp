@@ -173,19 +173,22 @@ Session::BatchInference Session::infer_batch(
                 "Session::infer_batch: embeddings must be tokens x embed_dim");
   }
 
-  // Parallel phase: the functional forwards. Image i owns slot i of each
-  // vector; every work item builds its own AcceleratorSystem (one
-  // simulated PU per work item) from the session config, so items share
-  // only the read-only deployed model and produce the same bits as the
-  // serial loop under any worker interleaving.
+  // Parallel phase: the functional forwards. In batch mode each image runs
+  // whole on one unit (weights resident, no cross-unit traffic), so every
+  // work item builds its own one-unit AcceleratorSystem from the session
+  // config. Image i owns slot i of each vector; items share only the
+  // read-only deployed model, so any worker interleaving produces the same
+  // bits as the serial loop.
+  SystemConfig one = cfg_;
+  one.num_units = 1;
   const std::size_t n = embeddings.size();
   std::vector<std::vector<float>> features(n);
   std::vector<std::vector<float>> logits(n);
   std::vector<ForwardStats> stats(n);
   auto run_image = [&](std::size_t i) {
-    const AcceleratorSystem local(cfg_);
+    const AcceleratorSystem unit(one);
     std::vector<float> x = embeddings[i];
-    features[i] = dep.model.forward_mixed(std::move(x), local, &stats[i]);
+    features[i] = dep.model.forward_mixed(std::move(x), unit, &stats[i]);
     logits[i] = dep.model.classify(features[i]);
   };
   if (pool != nullptr) {
@@ -194,7 +197,8 @@ Session::BatchInference Session::infer_batch(
     for (std::size_t i = 0; i < n; ++i) run_image(i);
   }
 
-  // Serial phase, fixed image order: DMA modelling, command log, schedule.
+  // Serial phase, fixed image order: DMA modelling, command log, and the
+  // LPT schedule, where each image is charged its one-unit compute latency.
   BatchInference out;
   out.results.reserve(n);
   std::vector<WorkItem> items;
@@ -203,14 +207,7 @@ Session::BatchInference Session::infer_batch(
     out.results.push_back(account_inference(embeddings[i],
                                             std::move(features[i]),
                                             std::move(logits[i]), stats[i]));
-    // infer()'s latency spreads one image across all units; in batch mode
-    // each image instead runs whole on a single unit (weights resident, no
-    // cross-unit traffic), so its schedulable cost is the all-units
-    // latency scaled back up by the unit count.
-    items.push_back(
-        {"img" + std::to_string(i),
-         out.results.back().total_cycles *
-             static_cast<std::uint64_t>(cfg_.num_units)});
+    items.push_back({"img" + std::to_string(i), stats[i].total_cycles()});
   }
   const ScheduleResult s = schedule_lpt(items, cfg_.num_units);
   out.makespan_cycles = s.makespan;
@@ -238,34 +235,6 @@ OnlineServeResult Session::serve(ModelId model, const ArrivalTrace& trace,
   return r;
 }
 
-ClusterServeResult Session::serve_cluster(ModelId model,
-                                          const ClusterSpec& spec,
-                                          const ArrivalTrace& trace,
-                                          const ServePolicy& policy,
-                                          ThreadPool* pool,
-                                          Trace* event_trace) {
-  Deployed& dep = checked(model);
-  const ClusterTopology topo =
-      spec.topology == TopologyKind::kRing
-          ? ClusterTopology::ring(spec.cards, spec.link, cfg_)
-          : ClusterTopology::fully_connected(spec.cards, spec.link, cfg_);
-  const ClusterExecutor exec(dep.model.weights(), topo, spec.strategy);
-  ClusterServeResult r =
-      bfpsim::serve_cluster(exec, spec.replicas, trace, policy, pool,
-                            event_trace, spec.card_failures);
-  log_.push_back(
-      {CommandRecord::Kind::kCompute,
-       "serve_cluster " + dep.info.name + " (" +
-           std::to_string(spec.cards) + " cards x " +
-           std::to_string(spec.replicas) + " replicas, " +
-           to_string(spec.strategy) + "): " +
-           std::to_string(r.report.records.size()) + "/" +
-           std::to_string(trace.total_requests) + " completed, " +
-           std::to_string(r.report.rejected_ids.size()) + " rejected",
-       0, r.report.makespan_cycles});
-  return r;
-}
-
 Session::FleetServeResult Session::serve_fleet(ModelId model,
                                                const FleetConfig& spec,
                                                const ArrivalTrace& trace,
@@ -284,7 +253,8 @@ Session::FleetServeResult Session::serve_fleet(ModelId model,
                : ClusterTopology::fully_connected(cards, spec.link, cfg_);
   };
 
-  // ---- phase 1: class-0 per-request forwards, the serve_cluster phase ----
+  // ---- phase 1: class-0 per-request forwards (cluster_forwards, the
+  // phase the free serve_cluster runs) ----
   const ClusterExecutor exec0(dep.model.weights(),
                               make_topology(spec.classes[0].cards),
                               spec.classes[0].strategy);
@@ -327,7 +297,7 @@ Session::FleetServeResult Session::serve_fleet(ModelId model,
   if (spec.classes.size() == 1 && !spec.autoscaler.enabled) {
     // A single fixed-shape fleet IS a cluster serve; report the same
     // cluster identity counters so the degenerate report stays
-    // byte-identical to Session::serve_cluster's.
+    // byte-identical to the free serve_cluster's on the class-0 executor.
     out.report.serve.counters.add(
         "cluster.cards", static_cast<std::uint64_t>(spec.classes[0].cards));
     out.report.serve.counters.add(

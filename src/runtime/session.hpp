@@ -74,9 +74,13 @@ class Session {
   /// Run one image (tokens x d embeddings) through a deployed model.
   InferenceResult infer(ModelId model, std::span<const float> embeddings);
 
-  /// Serve a batch of images: functional results for each, plus the
-  /// batch-level schedule (images placed whole-per-unit via the LPT
-  /// scheduler; see transformer/serving.hpp).
+  /// Serve a batch of images in the paper's batch mode (Section III-A:
+  /// units "running with independent instructions"): each image runs whole
+  /// on one unit of this session's system, so its forward sees a one-unit
+  /// system and `results[i].stats` is that one-unit forward's. The batch
+  /// schedule LPT-places the images across `num_units` units, each charged
+  /// its one-unit compute latency (`results[i].stats.total_cycles()`);
+  /// per-image DMA stays in `results[i].dma_cycles` and the command log.
   ///
   /// `pool` (optional) runs the per-image forwards on the parallel
   /// execution engine — each image's compute is independent and lands in
@@ -105,32 +109,6 @@ class Session {
                           const ServePolicy& policy,
                           ThreadPool* pool = nullptr,
                           Trace* event_trace = nullptr);
-
-  /// How to scale a deployed model past one card.
-  struct ClusterSpec {
-    int cards = 2;     ///< cards per sharded replica
-    int replicas = 1;  ///< data-parallel replicas (cards * replicas total)
-    PartitionStrategy strategy = PartitionStrategy::kPipeline;
-    TopologyKind topology = TopologyKind::kRing;
-    LinkConfig link;   ///< inter-card link (within each replica)
-    /// Hard card failures to inject in virtual time (cards numbered
-    /// globally, replica r owning [r*cards, (r+1)*cards)). A dead card
-    /// kills its replica; in-flight requests fail over to the survivors.
-    std::vector<CardFailure> card_failures;
-  };
-
-  /// Online serving against a multi-card cluster: the deployed model is
-  /// re-partitioned across `spec.cards` copies of this session's card
-  /// configuration, `spec.replicas` such clusters serve the trace behind
-  /// one admission queue. Functional results stay bit-identical to the
-  /// single-card `serve` forwards (the partitioner's all-gather
-  /// discipline); only the timing model changes. Appends one summary
-  /// record to the command log.
-  ClusterServeResult serve_cluster(ModelId model, const ClusterSpec& spec,
-                                   const ArrivalTrace& trace,
-                                   const ServePolicy& policy,
-                                   ThreadPool* pool = nullptr,
-                                   Trace* event_trace = nullptr);
 
   /// One replica shape a fleet may provision (cards of this session's
   /// card configuration, sharded by `strategy`).
@@ -166,6 +144,10 @@ class Session {
   /// costed per request (parallel functional forwards, index-owned
   /// slots); other classes are probed once and their per-request pass
   /// replicated — their cost model does not depend on request content.
+  /// This is the Session's one clustered entry: one class with the
+  /// autoscaler off serves exactly as the free serve_cluster
+  /// (cluster/cluster_serving.hpp) does on the class-0 executor, and
+  /// reports its `cluster.cards` / `cluster.replicas` counters too.
   /// Appends one summary record to the command log.
   FleetServeResult serve_fleet(ModelId model, const FleetConfig& spec,
                                const ArrivalTrace& trace,

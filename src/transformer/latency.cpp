@@ -1,6 +1,7 @@
 #include "transformer/latency.hpp"
 
 #include "common/error.hpp"
+#include "fabric/scheduler.hpp"
 
 namespace bfpsim {
 
@@ -87,6 +88,35 @@ WorkloadBreakdown analyze_workload(const VitConfig& cfg,
   out.fp32_ops_share = 1.0 - bfp.ops_proportion;
   out.fp32_latency_share = 1.0 - bfp.latency_proportion;
   return out;
+}
+
+BatchResult batch_transformer_throughput(const VitConfig& cfg,
+                                         const AcceleratorSystem& sys,
+                                         int batch) {
+  BFP_REQUIRE(batch >= 1, "batch_transformer_throughput: batch must be >=1");
+  // Per-image latency on ONE unit: rebuild the system model with a single
+  // unit so the workload analysis does not spread one image across units.
+  SystemConfig one = sys.config();
+  one.num_units = 1;
+  const AcceleratorSystem single(one);
+  const WorkloadBreakdown per_image = analyze_workload(cfg, single);
+  const double freq = sys.config().pu.freq_hz;
+  const auto image_cycles = static_cast<std::uint64_t>(
+      per_image.total_latency_ms * 1e-3 * freq);
+
+  std::vector<WorkItem> items(static_cast<std::size_t>(batch),
+                              WorkItem{cfg.name, image_cycles});
+  const ScheduleResult s = schedule_lpt(items, sys.config().num_units);
+
+  BatchResult r;
+  r.batch = batch;
+  r.per_image_cycles = image_cycles;
+  r.makespan_cycles = s.makespan;
+  r.latency_ms_per_image = static_cast<double>(image_cycles) / freq * 1e3;
+  r.images_per_second =
+      static_cast<double>(batch) / (static_cast<double>(s.makespan) / freq);
+  r.utilization = s.utilization;
+  return r;
 }
 
 }  // namespace bfpsim

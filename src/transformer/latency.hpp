@@ -1,8 +1,14 @@
 // Table IV: the mixed-precision workload partition of a DeiT model —
 // operation counts, their proportions, end-to-end latency per partition
-// under the system's throughput models, and latency proportions.
+// under the system's throughput models, and latency proportions — plus the
+// analytic batch model built on it: each image runs wholly on one unit
+// (weights stay resident, no cross-unit traffic) and the batch spreads
+// across units through the LPT scheduler, the deployment mode Section
+// III-A's "independent instructions" enables. The functional counterpart
+// is Session::infer_batch (runtime/session.hpp).
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -42,5 +48,20 @@ WorkloadBreakdown analyze_workload(const VitConfig& cfg,
 /// projection, both MLP layers, for every block).
 WorkloadResult linear_workload_latency(const VitConfig& cfg,
                                        const AcceleratorSystem& sys);
+
+struct BatchResult {
+  int batch = 0;
+  std::uint64_t per_image_cycles = 0;  ///< single-unit end-to-end latency
+  std::uint64_t makespan_cycles = 0;
+  double latency_ms_per_image = 0.0;
+  double images_per_second = 0.0;
+  double utilization = 0.0;
+};
+
+/// Throughput/latency of serving `batch` images of model `cfg` on `sys`
+/// (analytic: no functional data flows).
+BatchResult batch_transformer_throughput(const VitConfig& cfg,
+                                         const AcceleratorSystem& sys,
+                                         int batch);
 
 }  // namespace bfpsim

@@ -17,7 +17,6 @@
 #include "cluster/partitioner.hpp"
 #include "cluster/topology.hpp"
 #include "common/error.hpp"
-#include "runtime/session.hpp"
 #include "serving/workload.hpp"
 
 namespace bfpsim {
@@ -594,27 +593,6 @@ TEST(ClusterServing, ReportBitIdenticalAcrossThreadPoolSizes) {
                             serial.features[i].size() * sizeof(float)));
     }
   }
-}
-
-TEST(ClusterServing, SessionServeClusterEndToEnd) {
-  Session session;
-  const VitConfig cfg = tp2_config();
-  const ModelId id = session.deploy(random_weights(cfg, 43), "tiny");
-  Session::ClusterSpec spec;
-  spec.cards = 2;
-  spec.replicas = 2;
-  spec.strategy = PartitionStrategy::kTensor;
-  const ArrivalTrace trace = poisson_trace(8, 8000.0, 9);
-  const ClusterServeResult r =
-      session.serve_cluster(id, spec, trace, ServePolicy{});
-  EXPECT_EQ(r.report.records.size() + r.report.rejected_ids.size(), 8u);
-  EXPECT_EQ(r.report.counters.get("cluster.cards"), 2u);
-  EXPECT_EQ(r.report.counters.get("cluster.replicas"), 2u);
-  EXPECT_GT(r.report.counters.get("cluster.collective_cycles"), 0u);
-  // The serve landed in the command log.
-  ASSERT_FALSE(session.log().empty());
-  EXPECT_NE(session.log().back().detail.find("serve_cluster"),
-            std::string::npos);
 }
 
 }  // namespace

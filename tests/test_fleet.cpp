@@ -21,6 +21,7 @@
 #include "serving/autoscaler.hpp"
 #include "serving/router.hpp"
 #include "serving/tenant.hpp"
+#include "cluster/cluster_serving.hpp"
 #include "runtime/session.hpp"
 #include "serving/metrics.hpp"
 #include "serving/workload.hpp"
@@ -548,20 +549,18 @@ TEST(FleetLoop, ReplicaTracePidsAreStableAcrossChurn) {
 VitConfig fleet_test_config() { return vit_test_tiny(); }
 
 TEST(FleetSession, DegenerateFleetMatchesServeClusterRecordForRecord) {
-  // Autoscaler off, one tenant, one class, fixed replicas: serve_fleet is
-  // serve_cluster, record for record and byte for byte.
+  // Autoscaler off, one tenant, one class, fixed replicas: Session's
+  // serve_fleet is the free serve_cluster on the same 2-card tensor
+  // executor, record for record and byte for byte.
   Session session;
-  const ModelId id =
-      session.deploy(random_weights(fleet_test_config(), 43), "tiny");
+  const VitWeights weights = random_weights(fleet_test_config(), 43);
+  const ModelId id = session.deploy(weights, "tiny");
   const ArrivalTrace trace = poisson_trace(8, 8000.0, 9);
   const ServePolicy policy;
 
-  Session::ClusterSpec cspec;
-  cspec.cards = 2;
-  cspec.replicas = 2;
-  cspec.strategy = PartitionStrategy::kTensor;
-  const ClusterServeResult want =
-      session.serve_cluster(id, cspec, trace, policy);
+  const ClusterExecutor exec(weights, ClusterTopology::ring(2),
+                             PartitionStrategy::kTensor);
+  const ClusterServeResult want = serve_cluster(exec, 2, trace, policy);
 
   Session::FleetConfig fspec;
   fspec.classes = {{2, PartitionStrategy::kTensor, 2, 2}};
@@ -581,6 +580,12 @@ TEST(FleetSession, DegenerateFleetMatchesServeClusterRecordForRecord) {
     EXPECT_EQ(a.slo_met, b.slo_met);
   }
   EXPECT_EQ(got.report.serve.to_json(), want.report.to_json());
+  EXPECT_EQ(got.report.serve.records.size() +
+                got.report.serve.rejected_ids.size(),
+            8u);
+  EXPECT_EQ(got.report.serve.counters.get("cluster.cards"), 2u);
+  EXPECT_EQ(got.report.serve.counters.get("cluster.replicas"), 2u);
+  EXPECT_GT(got.report.serve.counters.get("cluster.collective_cycles"), 0u);
   // The fleet ledger reduces to "R replicas for the whole makespan".
   EXPECT_EQ(got.report.replica_cycles,
             2u * got.report.serve.makespan_cycles);

@@ -1,7 +1,7 @@
 // Determinism guarantees of the parallel execution engine: for any worker
-// count the batch serving path, the session batch path, and the tiled GEMM
-// produce bit-identical outputs, identical modelled cycle counts, and
-// identical counter totals — plus unit tests of the ThreadPool contract
+// count the session batch path and the tiled GEMM produce bit-identical
+// outputs, identical modelled cycle counts, and identical counter totals —
+// plus unit tests of the ThreadPool contract
 // itself (index coverage, nesting, exception propagation).
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@
 #include "common/thread_pool.hpp"
 #include "pu/processing_unit.hpp"
 #include "runtime/session.hpp"
-#include "transformer/serving.hpp"
+#include "transformer/latency.hpp"
 
 namespace bfpsim {
 namespace {
@@ -98,79 +98,19 @@ TEST(ParallelDeterminism, LargeGemmBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelDeterminism, BatchExecutionInvariantUnderThreadCount) {
-  // The full functional batch path: features, per-image cycles, schedule,
-  // pipeline timelines, and counter totals must not depend on the worker
-  // count (including serial == 1-thread pool == 8-thread pool).
-  const VitConfig cfg = vit_test_tiny();
-  const VitModel model{random_weights(cfg, 17)};
-  const AcceleratorSystem sys;
-  std::vector<std::vector<float>> images;
-  for (int i = 0; i < 7; ++i) {
-    images.push_back(random_embeddings(cfg, 100 + i));
-  }
-
-  const BatchExecution want = execute_transformer_batch(model, sys, images);
-  ASSERT_EQ(want.features.size(), images.size());
-  EXPECT_EQ(want.timing.batch, static_cast<int>(images.size()));
-  EXPECT_GT(want.timing.makespan_cycles, 0u);
-  EXPECT_GE(want.io_makespan_cycles, want.timing.makespan_cycles);
-
-  for (int threads : {1, 2, 8}) {
-    ThreadPool pool(threads);
-    const BatchExecution got =
-        execute_transformer_batch(model, sys, images, &pool);
-
-    // Functional outputs: exact bits, every image.
-    ASSERT_EQ(got.features.size(), want.features.size());
-    for (std::size_t i = 0; i < want.features.size(); ++i) {
-      ASSERT_EQ(got.features[i], want.features[i])
-          << "threads=" << threads << " image " << i;
-    }
-
-    // Modelled time: exact cycle counts.
-    EXPECT_EQ(got.image_cycles, want.image_cycles) << "threads=" << threads;
-    EXPECT_EQ(got.timing.makespan_cycles, want.timing.makespan_cycles);
-    EXPECT_EQ(got.timing.per_image_cycles, want.timing.per_image_cycles);
-    EXPECT_DOUBLE_EQ(got.timing.images_per_second,
-                     want.timing.images_per_second);
-    EXPECT_DOUBLE_EQ(got.timing.utilization, want.timing.utilization);
-    EXPECT_EQ(got.io_makespan_cycles, want.io_makespan_cycles);
-
-    // Schedule: identical placement.
-    ASSERT_EQ(got.schedule.units.size(), want.schedule.units.size());
-    for (std::size_t u = 0; u < want.schedule.units.size(); ++u) {
-      EXPECT_EQ(got.schedule.units[u].cycles, want.schedule.units[u].cycles);
-      ASSERT_EQ(got.schedule.units[u].items, want.schedule.units[u].items)
-          << "threads=" << threads << " unit " << u;
-    }
-
-    // Per-unit pipeline timelines.
-    ASSERT_EQ(got.unit_timelines.size(), want.unit_timelines.size());
-    for (std::size_t u = 0; u < want.unit_timelines.size(); ++u) {
-      EXPECT_EQ(got.unit_timelines[u].total_cycles,
-                want.unit_timelines[u].total_cycles)
-          << "threads=" << threads << " unit " << u;
-    }
-
-    // Counter totals, via the deterministic snapshot.
-    EXPECT_EQ(got.counters.snapshot(), want.counters.snapshot())
-        << "threads=" << threads;
-  }
-}
-
 TEST(ParallelDeterminism, AnalyticThroughputUnaffectedByEngine) {
   // batch_transformer_throughput is closed-form; re-running it while a
-  // pool-backed functional batch executes in between must not change it
+  // pooled Session::infer_batch executes in between must not change it
   // (guards against hidden shared state in the system model).
   const VitConfig cfg = vit_test_tiny();
   const AcceleratorSystem sys;
   const BatchResult before = batch_transformer_throughput(cfg, sys, 30);
-  const VitModel model{random_weights(cfg, 3)};
+  Session session;
+  const ModelId id = session.deploy(random_weights(cfg, 3));
   std::vector<std::vector<float>> images{random_embeddings(cfg, 1),
                                          random_embeddings(cfg, 2)};
   ThreadPool pool(8);
-  (void)execute_transformer_batch(model, sys, images, &pool);
+  (void)session.infer_batch(id, images, &pool);
   const BatchResult after = batch_transformer_throughput(cfg, sys, 30);
   EXPECT_EQ(before.per_image_cycles, after.per_image_cycles);
   EXPECT_EQ(before.makespan_cycles, after.makespan_cycles);

@@ -12,7 +12,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "transformer/serving.hpp"
 
 namespace bfpsim {
 namespace {
@@ -156,7 +155,7 @@ TEST(Session, BatchInferenceSchedulesAcrossUnits) {
   const Session::BatchInference b = session.infer_batch(id, batch);
   ASSERT_EQ(b.results.size(), 4u);
   // 4 images on 15 units: one round; makespan = one single-unit image.
-  EXPECT_EQ(b.makespan_cycles, b.results[0].total_cycles * 15);
+  EXPECT_EQ(b.makespan_cycles, b.results[0].stats.total_cycles());
   EXPECT_NEAR(b.utilization, 4.0 / 15.0, 1e-9);
   EXPECT_GT(b.images_per_second, 0.0);
   // Each image's functional result matches a solo inference.
@@ -172,9 +171,9 @@ TEST(Session, BatchInferenceSchedulesAcrossUnits) {
 
 // Golden pins for the functional batch: every image's compute cycles, the
 // LPT schedule numbers, and an FNV-1a digest of every image's feature bits
-// (image order), captured from the one-unit-per-image batch engine
-// (execute_transformer_batch) before Session::infer_batch took it over.
-// Never regenerate these values.
+// (image order), captured from the one-unit-per-image batch engine (the
+// former execute_transformer_batch) before Session::infer_batch took it
+// over. Never regenerate these values.
 std::uint64_t fnv1a_features(
     const std::vector<std::vector<float>>& features) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -210,8 +209,8 @@ TEST(Session, BatchGoldenTiming) {
        0x5ce9dcab70dfd770ULL},
   };
   const VitConfig cfg = vit_test_tiny();
-  const VitModel model{random_weights(cfg, 17)};
-  const AcceleratorSystem sys;
+  Session session;
+  const ModelId id = session.deploy(random_weights(cfg, 17));
   for (const BatchGolden& g : goldens) {
     SCOPED_TRACE("images=" + std::to_string(g.images));
     std::vector<std::vector<float>> images;
@@ -219,15 +218,17 @@ TEST(Session, BatchGoldenTiming) {
       images.push_back(
           random_embeddings(cfg, 100 + static_cast<std::uint64_t>(i)));
     }
-    const BatchExecution b = execute_transformer_batch(model, sys, images);
-    ASSERT_EQ(b.image_cycles.size(), images.size());
-    for (const std::uint64_t c : b.image_cycles) {
-      EXPECT_EQ(c, g.image_cycles);
+    const Session::BatchInference b = session.infer_batch(id, images);
+    ASSERT_EQ(b.results.size(), images.size());
+    std::vector<std::vector<float>> features;
+    for (const InferenceResult& r : b.results) {
+      EXPECT_EQ(r.stats.total_cycles(), g.image_cycles);
+      features.push_back(r.features);
     }
-    EXPECT_EQ(b.timing.makespan_cycles, g.makespan_cycles);
-    EXPECT_DOUBLE_EQ(b.timing.utilization, g.utilization);
-    EXPECT_DOUBLE_EQ(b.timing.images_per_second, g.images_per_second);
-    EXPECT_EQ(fnv1a_features(b.features), g.digest);
+    EXPECT_EQ(b.makespan_cycles, g.makespan_cycles);
+    EXPECT_DOUBLE_EQ(b.utilization, g.utilization);
+    EXPECT_DOUBLE_EQ(b.images_per_second, g.images_per_second);
+    EXPECT_EQ(fnv1a_features(features), g.digest);
   }
 }
 

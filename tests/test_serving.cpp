@@ -1,5 +1,5 @@
 // Tests for the LPT scheduler, batch serving model, and checkpointing.
-#include "transformer/serving.hpp"
+#include "transformer/latency.hpp"
 
 #include <gtest/gtest.h>
 

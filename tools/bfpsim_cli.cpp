@@ -48,7 +48,6 @@
 #include "serving/event_loop.hpp"
 #include "serving/tenant.hpp"
 #include "transformer/latency.hpp"
-#include "transformer/serving.hpp"
 
 namespace {
 
@@ -1079,7 +1078,6 @@ int cmd_fleet(int argc, char** argv) {
   const VitConfig cfg = which == "test" ? vit_test_tiny() : pick_config(which);
   Session session(system_config_for_mode(mode_name));
   const double freq = session.system().config().pu.freq_hz;
-  const ModelId model = session.deploy(random_weights(cfg, 42), cfg.name);
 
   fleet_cfg.autoscaler.enabled = autoscale;
   fleet_cfg.autoscaler.min_replicas = min_replicas;
@@ -1092,22 +1090,31 @@ int cmd_fleet(int argc, char** argv) {
   if (threads <= 0) threads = ThreadPool::hardware_threads();
   ThreadPool pool(threads);
 
-  if (rate <= 0.0) {
-    // Auto rate: probe one sharded forward per class and offer 70% of the
-    // initial fleet's aggregate capacity.
-    double capacity_rps = 0.0;
-    for (const auto& c : fleet_cfg.classes) {
-      if (c.initial_replicas == 0) continue;
-      const ClusterTopology topo = ClusterTopology::ring(
-          c.cards, LinkConfig{}, session.system().config());
-      const ClusterExecutor exec(random_weights(cfg, 42), topo, c.strategy);
-      ClusterStats stats;
-      (void)exec.forward(random_embeddings(cfg, seed), &stats, &pool);
-      capacity_rps += static_cast<double>(c.initial_replicas) * freq /
-                      static_cast<double>(stats.total_cycles());
+  ModelId model = -1;
+  {
+    // One weight set feeds the deploy and the auto-rate probes, and is
+    // released before serving (the session keeps its own copy).
+    const VitWeights weights = random_weights(cfg, 42);
+    model = session.deploy(weights, cfg.name);
+    if (rate <= 0.0) {
+      // Auto rate: probe one sharded forward per class and offer 70% of
+      // the initial fleet's aggregate capacity.
+      double capacity_rps = 0.0;
+      for (const auto& c : fleet_cfg.classes) {
+        if (c.initial_replicas == 0) continue;
+        const ClusterTopology topo = ClusterTopology::ring(
+            c.cards, LinkConfig{}, session.system().config());
+        const ClusterExecutor exec(weights, topo, c.strategy);
+        ClusterStats stats;
+        (void)exec.forward(random_embeddings(cfg, seed), &stats, &pool);
+        capacity_rps += static_cast<double>(c.initial_replicas) * freq /
+                        static_cast<double>(stats.total_cycles());
+      }
+      if (capacity_rps <= 0.0) {
+        throw Error("--rate required (no probe basis)");
+      }
+      rate = 0.7 * capacity_rps;
     }
-    if (capacity_rps <= 0.0) throw Error("--rate required (no probe basis)");
-    rate = 0.7 * capacity_rps;
   }
 
   ArrivalTrace arrival_trace;
