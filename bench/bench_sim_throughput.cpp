@@ -35,6 +35,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -46,6 +48,8 @@
 #include "common/thread_pool.hpp"
 #include "numerics/bfp.hpp"
 #include "numerics/bfp_kernel.hpp"
+#include "numerics/nonlinear.hpp"
+#include "numerics/slices.hpp"
 #include "pu/processing_unit.hpp"
 
 namespace {
@@ -362,11 +366,83 @@ int main(int argc, char** argv) {
          << ",\"wall_ms\":" << 1e3 * wall
          << ",\"makespan_cycles\":" << r.report.makespan_cycles
          << ",\"completed\":" << r.report.records.size()
-         << ",\"cycles_per_wall_sec\":" << cps << "}}";
+         << ",\"cycles_per_wall_sec\":" << cps << "}";
     std::fprintf(stderr,
                  "  serve %d requests: %.1f ms wall, %.3e sim-cycles/s\n",
                  requests, 1e3 * wall, cps);
   }
+
+  // fp32 vector span forms, report-only (no baseline anchors): ns per
+  // element of aligned add, sliced multiply, 197-wide softmax rows and GELU
+  // at each tier, timed alternately against the scalar tier (the loop over
+  // the per-element reference), and memcmp-equal to its output.
+  json << ",\"vector\":[";
+  {
+    const std::size_t n = std::size_t{1} << (smoke ? 14 : 16);
+    constexpr int kCols = 197;  // one DeiT attention score row
+    const int rows = static_cast<int>(n / kCols);
+    const std::size_t row_elems = static_cast<std::size_t>(rows) * kCols;
+    Rng vrng(seed + 977);
+    const std::vector<float> vx = vrng.uniform_vec(n, -4.0F, 4.0F);
+    const std::vector<float> vy = vrng.uniform_vec(n, -4.0F, 4.0F);
+    std::vector<float> out(n);
+    struct VectorOp {
+      const char* name;
+      std::size_t elems;
+      std::function<void()> run;
+    };
+    const std::vector<VectorOp> ops = {
+        {"aligned_add", n, [&] { fp32_add_aligned(vx, vy, out); }},
+        {"sliced_mul", n, [&] { fp32_mul_sliced(vx, vy, out); }},
+        {"softmax_row", row_elems,
+         [&] {
+           approx_softmax(std::span<const float>(vx).first(row_elems), rows,
+                          kCols, std::span<float>(out).first(row_elems));
+         }},
+        {"gelu", n, [&] { approx_gelu(vx, out); }},
+    };
+    const KernelTier saved = active_kernel_tier();
+    const auto at_tier = [&](const VectorOp& op, KernelTier t) {
+      return [&op, t] {
+        set_active_kernel_tier(t);
+        op.run();
+      };
+    };
+    bool first_vec = true;
+    for (const VectorOp& op : ops) {
+      at_tier(op, KernelTier::kScalar)();
+      const std::vector<float> want = out;
+      for (const KernelTier t : available_kernel_tiers()) {
+        if (t == KernelTier::kScalar) continue;
+        const auto [scalar_wall, tier_wall] =
+            min_wall_alternating(at_tier(op, KernelTier::kScalar),
+                                 at_tier(op, t), smoke ? 0.1 : 0.4);
+        at_tier(op, t)();
+        if (std::memcmp(out.data(), want.data(),
+                        op.elems * sizeof(float)) != 0) {
+          std::fprintf(stderr, "MISMATCH: %s at tier %s differs from scalar\n",
+                       op.name, to_string(t));
+          gate_failed = true;
+        }
+        const double ns = 1e9 * tier_wall / static_cast<double>(op.elems);
+        const double scalar_ns =
+            1e9 * scalar_wall / static_cast<double>(op.elems);
+        json << (first_vec ? "" : ",") << "{\"op\":\"" << op.name
+             << "\",\"tier\":\"" << to_string(t)
+             << "\",\"elements\":" << op.elems
+             << ",\"ns_per_elem\":" << ns
+             << ",\"scalar_ns_per_elem\":" << scalar_ns
+             << ",\"speedup_vs_scalar\":" << scalar_ns / ns << "}";
+        first_vec = false;
+        std::fprintf(stderr,
+                     "  vector %-11s %-7s %7.2f ns/elem  (scalar %7.2f, "
+                     "%.2fx)\n",
+                     op.name, to_string(t), ns, scalar_ns, scalar_ns / ns);
+      }
+    }
+    set_active_kernel_tier(saved);
+  }
+  json << "]}";
 
   if (check_speedup > 0.0 && largest_best_speedup < check_speedup) {
     std::fprintf(stderr,

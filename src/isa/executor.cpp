@@ -153,6 +153,16 @@ RegTensor like(const RegTensor& a) {
   return t;
 }
 
+/// Row `r` of a register tensor.
+std::span<const float> row_of(const RegTensor& t, int r) {
+  const auto cols = static_cast<std::size_t>(t.cols);
+  return {t.data.data() + static_cast<std::size_t>(r) * cols, cols};
+}
+std::span<float> row_of(RegTensor& t, int r) {
+  const auto cols = static_cast<std::size_t>(t.cols);
+  return {t.data.data() + static_cast<std::size_t>(r) * cols, cols};
+}
+
 }  // namespace
 
 void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
@@ -203,9 +213,7 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
       const RegTensor& b = tensor(inst.src_b);
       require_same_shape(a, b, "vec.mul");
       RegTensor c = like(a);
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = fp32_mul_sliced(a.data[i], b.data[i]);
-      }
+      fp32_mul_sliced(a.data, b.data, c.data);
       stats.ops.fp_mul += a.size();
       stats.device_cycles +=
           system_.vector_latency(a.size(), 0).cycles;
@@ -218,9 +226,7 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
       const RegTensor& b = tensor(inst.src_b);
       require_same_shape(a, b, "vec.add");
       RegTensor c = like(a);
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = fp32_add_aligned(a.data[i], b.data[i]);
-      }
+      fp32_add_aligned(a.data, b.data, c.data);
       stats.ops.fp_add += a.size();
       stats.device_cycles +=
           system_.vector_latency(0, a.size()).cycles;
@@ -231,9 +237,7 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
     case Opcode::kVecMulScalar: {
       const RegTensor& a = tensor(inst.src_a);
       RegTensor c = like(a);
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = fp32_mul_sliced(a.data[i], inst.imm);
-      }
+      fp32_mul_sliced(a.data, inst.imm, c.data);
       stats.ops.fp_mul += a.size();
       stats.device_cycles +=
           system_.vector_latency(a.size(), 0).cycles;
@@ -244,9 +248,7 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
     case Opcode::kVecAddScalar: {
       const RegTensor& a = tensor(inst.src_a);
       RegTensor c = like(a);
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = fp32_add_aligned(a.data[i], inst.imm);
-      }
+      fp32_add_aligned(a.data, inst.imm, c.data);
       stats.ops.fp_add += a.size();
       stats.device_cycles +=
           system_.vector_latency(0, a.size()).cycles;
@@ -258,10 +260,10 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
       const RegTensor& a = tensor(inst.src_a);
       RegTensor c = like(a);
       OpCounter local;
-      const bool fast = (inst.flags & 1) != 0;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = fast ? approx_exp_split(a.data[i], &local)
-                         : approx_exp(a.data[i], &local);
+      if ((inst.flags & 1) != 0) {
+        approx_exp_split(a.data, c.data, &local);
+      } else {
+        approx_exp(a.data, c.data, &local);
       }
       stats.ops += local;
       stats.device_cycles +=
@@ -274,9 +276,7 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
       const RegTensor& a = tensor(inst.src_a);
       RegTensor c = like(a);
       OpCounter local;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        c.data[i] = approx_tanh(a.data[i], &local);
-      }
+      approx_tanh(a.data, c.data, &local);
       stats.ops += local;
       stats.host_ops += local.host_other;
       stats.device_cycles +=
@@ -338,11 +338,8 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
                   "row.sub: row vector must be (rows x 1)");
       RegTensor c = like(a);
       for (int r = 0; r < a.rows; ++r) {
-        for (int j = 0; j < a.cols; ++j) {
-          c.data[static_cast<std::size_t>(r) * a.cols + j] = fp32_add_aligned(
-              a.data[static_cast<std::size_t>(r) * a.cols + j],
-              -v.data[static_cast<std::size_t>(r)]);
-        }
+        fp32_add_aligned(row_of(a, r), -v.data[static_cast<std::size_t>(r)],
+                         row_of(c, r));
       }
       stats.ops.fp_add += a.size();
       stats.device_cycles += system_.vector_latency(0, a.size()).cycles;
@@ -359,11 +356,8 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
                   "row.mulb: row vector must be (rows x 1)");
       RegTensor c = like(a);
       for (int r = 0; r < a.rows; ++r) {
-        for (int j = 0; j < a.cols; ++j) {
-          c.data[static_cast<std::size_t>(r) * a.cols + j] = fp32_mul_sliced(
-              a.data[static_cast<std::size_t>(r) * a.cols + j],
-              v.data[static_cast<std::size_t>(r)]);
-        }
+        fp32_mul_sliced(row_of(a, r), v.data[static_cast<std::size_t>(r)],
+                        row_of(c, r));
       }
       stats.ops.fp_mul += a.size();
       stats.device_cycles += system_.vector_latency(a.size(), 0).cycles;
@@ -382,13 +376,10 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
                   "col broadcast: vector must be (1 x cols)");
       RegTensor c = like(a);
       for (int r = 0; r < a.rows; ++r) {
-        for (int j = 0; j < a.cols; ++j) {
-          const std::size_t i = static_cast<std::size_t>(r) * a.cols + j;
-          c.data[i] = is_add
-                          ? fp32_add_aligned(
-                                a.data[i], v.data[static_cast<std::size_t>(j)])
-                          : fp32_mul_sliced(
-                                a.data[i], v.data[static_cast<std::size_t>(j)]);
+        if (is_add) {
+          fp32_add_aligned(row_of(a, r), v.data, row_of(c, r));
+        } else {
+          fp32_mul_sliced(row_of(a, r), v.data, row_of(c, r));
         }
       }
       if (is_add) {
@@ -654,18 +645,16 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
                   "bias+act: bias must be (1 x cols)");
       RegTensor c = like(a);
       for (int r = 0; r < a.rows; ++r) {
-        for (int j = 0; j < a.cols; ++j) {
-          const std::size_t i = static_cast<std::size_t>(r) * a.cols + j;
-          c.data[i] =
-              fp32_add_aligned(a.data[i], bias.data[static_cast<std::size_t>(j)]);
-        }
+        fp32_add_aligned(row_of(a, r), bias.data, row_of(c, r));
       }
       stats.ops.fp_add += a.size();
       stats.device_cycles += system_.vector_latency(0, a.size()).cycles;
       OpCounter local;
-      c.data = inst.op == Opcode::kBiasGelu
-                   ? approx_gelu(std::span<const float>(c.data), &local)
-                   : approx_silu(std::span<const float>(c.data), &local);
+      if (inst.op == Opcode::kBiasGelu) {
+        approx_gelu(c.data, c.data, &local);
+      } else {
+        c.data = approx_silu(std::span<const float>(c.data), &local);
+      }
       stats.ops += local;
       stats.host_ops += local.host_other;
       stats.device_cycles +=
@@ -688,13 +677,9 @@ void Executor::exec_one(const Instruction& inst, ExecutionStats& stats) {
       // legacy model's add_bias_mixed / add_residual_mixed pair, charged
       // as the two vector passes it fuses.
       for (int r = 0; r < a.rows; ++r) {
-        for (int j = 0; j < a.cols; ++j) {
-          const std::size_t i = static_cast<std::size_t>(r) * a.cols + j;
-          const float biased = fp32_add_aligned(
-              a.data[i], bias.data[static_cast<std::size_t>(j)]);
-          c.data[i] = fp32_add_aligned(res.data[i], biased);
-        }
+        fp32_add_aligned(row_of(a, r), bias.data, row_of(c, r));
       }
+      fp32_add_aligned(res.data, c.data, c.data);
       stats.ops.fp_add += 2 * a.size();
       stats.device_cycles += system_.vector_latency(0, a.size()).cycles;
       stats.device_cycles += system_.vector_latency(0, a.size()).cycles;

@@ -11,6 +11,7 @@
 #include "common/contract.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "numerics/vector_kernel.hpp"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
@@ -348,6 +349,10 @@ void set_active_kernel_tier(KernelTier tier) {
   BFP_REQUIRE(kernel_tier_available(tier),
               "set_active_kernel_tier: tier not available on this build/CPU");
   active_tier_slot().store(tier, std::memory_order_relaxed);
+}
+
+bool detail::vector_avx2_active() {
+  return active_kernel_tier() == KernelTier::kSimd && avx2_usable();
 }
 
 KernelTier effective_kernel_tier(const BfpFormat& fmt, KernelTier requested) {

@@ -7,9 +7,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "numerics/fp32.hpp"
+#include "numerics/nonlinear_poly.hpp"
+#include "numerics/vector_kernel.hpp"
 
 namespace bfpsim {
 
@@ -88,42 +91,44 @@ std::vector<float> layernorm_reference(std::span<const float> x, int rows,
 
 namespace {
 
-// Degree-16 Chebyshev expansion of exp(x) on [-20, 0] (max absolute error
-// ~1.0e-6). The fp32 vector mode has only multipliers and adders — no
-// float-to-int split for a 2^k range reduction — so exp is evaluated as a
-// single polynomial over the clamped post-max-subtraction softmax range,
-// with the numerically stable Clenshaw recurrence (safe in fp32, unlike a
-// power-basis expansion of this degree).
-constexpr double kExpCheb[17] = {
-    0.12783333716342871,     0.24252536276891087,
-    0.20716160177307499,     0.15966072205968088,
-    0.1113651685372663,      0.070568587229867946,
-    0.040796581307398473,    0.02161268966098975,
-    0.010538815782012772,    0.0047505844097693239,
-    0.001987763844428015,    0.00077505672091336198,
-    0.00028263905841869263,  9.6722980708590102e-05,
-    3.1159308576474402e-05,  9.4769166945480681e-06,
-    2.7285584929127354e-06,
-};
-constexpr int kExpChebDeg = 16;
-constexpr double kExpLo = -20.0;
-constexpr double kExpHi = 0.0;
+using detail::ElementOps;
 
-// Odd polynomial tanh(x) ~= x * P(x^2) on |x| <= 3.2, clamped to +/-1
-// outside; degree-9 least-squares fit in u = x^2 (max abs error ~5.5e-4 on
-// the fitted range; the clamp discontinuity at 3.2 is 1 - tanh(3.2) ~
-// 3.3e-3, which the GELU form attenuates).
-constexpr double kTanhPoly[10] = {
-    0.9999244848374702,      -0.3315719436479399,
-    0.12627884578548856,     -0.04229571519326887,
-    0.01101614451260511,     -0.0020507620153218976,
-    0.0002572186400761364,   -2.0418891445702453e-05,
-    9.211914622945386e-07,   -1.793533945652337e-08,
-};
+void charge(OpCounter* ops, const ElementOps& per, std::uint64_t n) {
+  if (ops == nullptr) return;
+  ops->fp_mul += per.fp_mul * n;
+  ops->fp_add += per.fp_add * n;
+  ops->exp_manip += per.exp_manip * n;
+  ops->host_other += per.host_other * n;
+}
+
+void require_same_size(std::span<const float> x, std::span<float> out,
+                       const char* what) {
+  BFP_REQUIRE(out.size() == x.size(),
+              std::string(what) + ": output size must match the input");
+}
+
+/// out[i] = exp(x[i] - shift) through approx_exp (or approx_exp_split),
+/// with the per-element tally charged in closed form.
+void exp_span(const float* x, float shift, float* out, std::size_t n,
+              bool split, OpCounter* ops) {
+  if (detail::vector_avx2_active()) {
+    detail::exp_avx2(x, shift, out, n, split);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = split ? approx_exp_split(x[i] - shift)
+                     : approx_exp(x[i] - shift);
+    }
+  }
+  charge(ops, split ? detail::kExpSplitOps : detail::kExpOps, n);
+}
 
 }  // namespace
 
 float approx_exp(float x, OpCounter* ops) {
+  using detail::kExpCheb;
+  using detail::kExpChebDeg;
+  using detail::kExpHi;
+  using detail::kExpLo;
   // Clamp into the fitted range: softmax feeds post-max-subtraction values
   // in (-inf, 0], and exp(-20) ~ 2e-9 is zero at fp32 softmax scale.
   const double xc = std::clamp(static_cast<double>(x), kExpLo, kExpHi);
@@ -142,32 +147,15 @@ float approx_exp(float x, OpCounter* ops) {
   // The fitted polynomial can dip ~1e-6 below zero near the clamp edge;
   // probabilities must not (one comparator op).
   if (p < 0.0) p = 0.0;
-  if (ops != nullptr) {
-    ops->fp_mul += 2 + kExpChebDeg + 1;
-    ops->fp_add += 1 + 2 * kExpChebDeg + 2;
-    ops->host_other += 2;  // clamp + negative snap
-  }
+  charge(ops, detail::kExpOps, 1);
   return static_cast<float>(p);
 }
 
-namespace {
-// Degree-6 polynomial for 2^f on f in [0,1) (Taylor-derived least-squares
-// fit, max relative error ~2e-8) — used by the Softermax-style extension.
-constexpr double kExp2Poly[7] = {
-    1.0,
-    0.693147180559945,
-    0.240226506959101,
-    0.0555041086648216,
-    0.00961812910762848,
-    0.00133335581464284,
-    0.000154353039995640,
-};
-}  // namespace
-
 float approx_exp_split(float x, OpCounter* ops) {
-  const float xc = std::clamp(x, -87.0F, 0.0F);
+  using detail::kExp2Poly;
+  const float xc = std::clamp(x, detail::kExpSplitLo, 0.0F);
   // t = x * log2(e): one multiply.
-  const float t = xc * 1.4426950408889634F;
+  const float t = xc * detail::kLog2e;
   // Integer/fraction split + final 2^k scale: the added exponent-injection
   // hardware (two EU-class operations).
   const float kf = std::floor(t);
@@ -175,50 +163,74 @@ float approx_exp_split(float x, OpCounter* ops) {
   const float f = t - kf;  // one add
   double p = kExp2Poly[6];
   for (int i = 5; i >= 0; --i) p = p * f + kExp2Poly[i];  // 6 mul + 6 add
-  if (ops != nullptr) {
-    ops->fp_mul += 1 + 6;
-    ops->fp_add += 1 + 6;
-    ops->exp_manip += 2;
-  }
+  charge(ops, detail::kExpSplitOps, 1);
   return static_cast<float>(std::ldexp(p, k));
 }
 
 float approx_tanh(float x, OpCounter* ops) {
+  using detail::kTanhPoly;
   const float ax = std::fabs(x);
-  if (ax >= 3.2F) {
-    if (ops != nullptr) ops->host_other += 1;  // clamp comparison
+  if (ax >= detail::kTanhClamp) {
+    charge(ops, detail::kTanhClampOps, 1);  // clamp comparison
     return x > 0 ? 1.0F : -1.0F;
   }
   const double x2 = static_cast<double>(x) * x;  // 1 mul
   double p = kTanhPoly[9];
   for (int i = 8; i >= 0; --i) p = p * x2 + kTanhPoly[i];  // 9 mul + 9 add
-  if (ops != nullptr) {
-    ops->fp_mul += 1 + 9 + 1;  // x2, Horner, final x*P
-    ops->fp_add += 9;
-    ops->host_other += 1;  // range check
-  }
+  charge(ops, detail::kTanhPolyOps, 1);  // x2, Horner, x*P; range check
   return static_cast<float>(static_cast<double>(x) * p);
 }
 
 float approx_gelu(float x, OpCounter* ops) {
   // 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 x^3)))
   const double xd = x;
-  const double inner = 0.7978845608028654 * (xd + 0.044715 * xd * xd * xd);
-  if (ops != nullptr) {
-    ops->fp_mul += 4;  // x^2, x^3, 0.044715*, sqrt(2/pi)*
-    ops->fp_add += 1;  // x + ...
-  }
+  const double inner =
+      detail::kGeluSqrt2OverPi * (xd + detail::kGeluCubic * xd * xd * xd);
   const float t = approx_tanh(static_cast<float>(inner), ops);
-  if (ops != nullptr) {
-    ops->fp_add += 1;  // 1 + t
-    ops->fp_mul += 2;  // 0.5 * x *
-  }
+  charge(ops, detail::kGeluOuterOps, 1);
   return static_cast<float>(0.5 * xd * (1.0 + static_cast<double>(t)));
+}
+
+void approx_exp(std::span<const float> x, std::span<float> out,
+                OpCounter* ops) {
+  require_same_size(x, out, "approx_exp");
+  exp_span(x.data(), 0.0F, out.data(), x.size(), /*split=*/false, ops);
+}
+
+void approx_exp_split(std::span<const float> x, std::span<float> out,
+                      OpCounter* ops) {
+  require_same_size(x, out, "approx_exp_split");
+  exp_span(x.data(), 0.0F, out.data(), x.size(), /*split=*/true, ops);
+}
+
+void approx_tanh(std::span<const float> x, std::span<float> out,
+                 OpCounter* ops) {
+  require_same_size(x, out, "approx_tanh");
+  if (!detail::vector_avx2_active()) {
+    for (std::size_t i = 0; i < x.size(); ++i) out[i] = approx_tanh(x[i], ops);
+    return;
+  }
+  const std::size_t clamped = detail::tanh_avx2(x.data(), out.data(), x.size());
+  charge(ops, detail::kTanhClampOps, clamped);
+  charge(ops, detail::kTanhPolyOps, x.size() - clamped);
+}
+
+void approx_gelu(std::span<const float> x, std::span<float> out,
+                 OpCounter* ops) {
+  require_same_size(x, out, "approx_gelu");
+  if (!detail::vector_avx2_active()) {
+    for (std::size_t i = 0; i < x.size(); ++i) out[i] = approx_gelu(x[i], ops);
+    return;
+  }
+  const std::size_t clamped = detail::gelu_avx2(x.data(), out.data(), x.size());
+  charge(ops, detail::kTanhClampOps, clamped);
+  charge(ops, detail::kTanhPolyOps, x.size() - clamped);
+  charge(ops, detail::kGeluOuterOps, x.size());
 }
 
 std::vector<float> approx_gelu(std::span<const float> x, OpCounter* ops) {
   std::vector<float> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = approx_gelu(x[i], ops);
+  approx_gelu(x, out, ops);
   return out;
 }
 
@@ -241,78 +253,98 @@ std::vector<float> approx_silu(std::span<const float> x, OpCounter* ops) {
   return out;
 }
 
-std::vector<float> approx_softmax(std::span<const float> x, int rows,
-                                  int cols, OpCounter* ops, bool fast_exp) {
+void approx_softmax(std::span<const float> x, int rows, int cols,
+                    std::span<float> out, OpCounter* ops, bool fast_exp) {
   BFP_REQUIRE(rows > 0 && cols > 0 &&
                   x.size() == static_cast<std::size_t>(rows) * cols,
               "approx_softmax: size must equal rows*cols");
-  std::vector<float> out(x.size());
+  require_same_size(x, out, "approx_softmax");
+  const bool lanes = detail::vector_avx2_active();
+  const auto n = static_cast<std::size_t>(cols);
   for (int r = 0; r < rows; ++r) {
-    const auto* row = x.data() + static_cast<std::size_t>(r) * cols;
-    auto* orow = out.data() + static_cast<std::size_t>(r) * cols;
+    const auto* row = x.data() + static_cast<std::size_t>(r) * n;
+    auto* orow = out.data() + static_cast<std::size_t>(r) * n;
+    // The max and the sum are sequential reductions in element order:
+    // reordering the float sum would change its bits.
     float mx = row[0];
-    for (int c = 1; c < cols; ++c) mx = std::max(mx, row[c]);
-    if (ops != nullptr) ops->host_other += static_cast<std::uint64_t>(cols);
+    for (std::size_t c = 1; c < n; ++c) mx = std::max(mx, row[c]);
+    exp_span(row, mx, orow, n, fast_exp, ops);
     float sum = 0.0F;
-    for (int c = 0; c < cols; ++c) {
-      const float e = fast_exp ? approx_exp_split(row[c] - mx, ops)
-                               : approx_exp(row[c] - mx, ops);
-      orow[c] = e;
-      sum += e;
-    }
-    if (ops != nullptr) {
-      ops->fp_add += 2 * static_cast<std::uint64_t>(cols);  // sub + sum
-    }
+    for (std::size_t c = 0; c < n; ++c) sum += orow[c];
     const float inv = 1.0F / sum;  // host division (Section III-B)
-    if (ops != nullptr) ops->host_div += 1;
-    for (int c = 0; c < cols; ++c) orow[c] *= inv;
-    if (ops != nullptr) ops->fp_mul += static_cast<std::uint64_t>(cols);
+    if (lanes) {
+      detail::scale_avx2(orow, inv, n);
+    } else {
+      for (std::size_t c = 0; c < n; ++c) orow[c] *= inv;
+    }
   }
+  if (ops != nullptr) {
+    const auto elems = static_cast<std::uint64_t>(rows) * n;
+    ops->host_other += elems;       // max compares
+    ops->fp_add += 2 * elems;       // subtract + sum
+    ops->host_div += static_cast<std::uint64_t>(rows);
+    ops->fp_mul += elems;           // scale
+  }
+}
+
+std::vector<float> approx_softmax(std::span<const float> x, int rows,
+                                  int cols, OpCounter* ops, bool fast_exp) {
+  std::vector<float> out(x.size());
+  approx_softmax(x, rows, cols, out, ops, fast_exp);
   return out;
 }
 
-std::vector<float> approx_layernorm(std::span<const float> x, int rows,
-                                    int cols, std::span<const float> gamma,
-                                    std::span<const float> beta,
-                                    OpCounter* ops, float eps) {
+void approx_layernorm(std::span<const float> x, int rows, int cols,
+                      std::span<const float> gamma,
+                      std::span<const float> beta, std::span<float> out,
+                      OpCounter* ops, float eps) {
   BFP_REQUIRE(rows > 0 && cols > 0 &&
                   x.size() == static_cast<std::size_t>(rows) * cols,
               "approx_layernorm: size must equal rows*cols");
   BFP_REQUIRE(gamma.size() == static_cast<std::size_t>(cols) &&
                   beta.size() == static_cast<std::size_t>(cols),
               "approx_layernorm: gamma/beta must have `cols` entries");
-  std::vector<float> out(x.size());
+  require_same_size(x, out, "approx_layernorm");
+  const bool lanes = detail::vector_avx2_active();
+  const auto n = static_cast<std::size_t>(cols);
   const float invn = 1.0F / static_cast<float>(cols);  // compile-time const
   for (int r = 0; r < rows; ++r) {
-    const auto* row = x.data() + static_cast<std::size_t>(r) * cols;
-    auto* orow = out.data() + static_cast<std::size_t>(r) * cols;
+    const auto* row = x.data() + static_cast<std::size_t>(r) * n;
+    auto* orow = out.data() + static_cast<std::size_t>(r) * n;
+    // Sequential reductions in element order (see approx_softmax).
     float sum = 0.0F;
     float sumsq = 0.0F;
-    for (int c = 0; c < cols; ++c) {
+    for (std::size_t c = 0; c < n; ++c) {
       sum += row[c];
       sumsq += row[c] * row[c];
-    }
-    if (ops != nullptr) {
-      ops->fp_add += 2 * static_cast<std::uint64_t>(cols);
-      ops->fp_mul += static_cast<std::uint64_t>(cols);
     }
     const float mean = sum * invn;
     const float var = std::max(0.0F, sumsq * invn - mean * mean);
     const float inv = 1.0F / std::sqrt(var + eps);  // host rsqrt
-    if (ops != nullptr) {
-      ops->fp_mul += 3;
-      ops->fp_add += 2;
-      ops->host_div += 1;
-    }
-    for (int c = 0; c < cols; ++c) {
-      orow[c] = (row[c] - mean) * inv * gamma[static_cast<std::size_t>(c)] +
-                beta[static_cast<std::size_t>(c)];
-    }
-    if (ops != nullptr) {
-      ops->fp_add += 2 * static_cast<std::uint64_t>(cols);
-      ops->fp_mul += 2 * static_cast<std::uint64_t>(cols);
+    if (lanes) {
+      detail::layernorm_map_avx2(row, mean, inv, gamma.data(), beta.data(),
+                                 orow, n);
+    } else {
+      for (std::size_t c = 0; c < n; ++c) {
+        orow[c] = (row[c] - mean) * inv * gamma[c] + beta[c];
+      }
     }
   }
+  if (ops != nullptr) {
+    const auto elems = static_cast<std::uint64_t>(rows) * n;
+    const auto nrows = static_cast<std::uint64_t>(rows);
+    ops->fp_add += 2 * elems + 2 * nrows + 2 * elems;  // sums, var, map
+    ops->fp_mul += elems + 3 * nrows + 2 * elems;      // squares, var, map
+    ops->host_div += nrows;
+  }
+}
+
+std::vector<float> approx_layernorm(std::span<const float> x, int rows,
+                                    int cols, std::span<const float> gamma,
+                                    std::span<const float> beta,
+                                    OpCounter* ops, float eps) {
+  std::vector<float> out(x.size());
+  approx_layernorm(x, rows, cols, gamma, beta, out, ops, eps);
   return out;
 }
 

@@ -88,9 +88,39 @@ std::vector<float> approx_layernorm(std::span<const float> x, int rows,
                                     OpCounter* ops = nullptr,
                                     float eps = 1e-5F);
 
-/// Elementwise GELU over a span, accumulating op counts.
+/// Elementwise GELU over a span, accumulating op counts (a wrapper over
+/// the span form below).
 std::vector<float> approx_gelu(std::span<const float> x,
                                OpCounter* ops = nullptr);
+
+/// ---------------- span forms ----------------
+///
+/// The approximations above over whole spans and row-major matrices,
+/// writing into caller-owned storage; `out` may alias `x`. Each is
+/// bit-identical to a loop over the per-element function, and charges the
+/// same OpCounter tallies, in closed form per call (tanh/GELU count the
+/// lanes that took the |x| >= 3.2 clamp). Under the kSimd kernel tier with
+/// AVX2 the per-element maps run in lanes (vector_kernel.hpp); under every
+/// other tier they loop the scalar functions. Row reductions (the softmax
+/// max and sum, the LayerNorm sum and sum of squares) stay sequential in
+/// element order on every tier, since reordering a float sum changes its
+/// bits. The vector-returning forms are thin wrappers over these.
+
+void approx_exp(std::span<const float> x, std::span<float> out,
+                OpCounter* ops = nullptr);
+void approx_exp_split(std::span<const float> x, std::span<float> out,
+                      OpCounter* ops = nullptr);
+void approx_tanh(std::span<const float> x, std::span<float> out,
+                 OpCounter* ops = nullptr);
+void approx_gelu(std::span<const float> x, std::span<float> out,
+                 OpCounter* ops = nullptr);
+void approx_softmax(std::span<const float> x, int rows, int cols,
+                    std::span<float> out, OpCounter* ops = nullptr,
+                    bool fast_exp = false);
+void approx_layernorm(std::span<const float> x, int rows, int cols,
+                      std::span<const float> gamma,
+                      std::span<const float> beta, std::span<float> out,
+                      OpCounter* ops = nullptr, float eps = 1e-5F);
 
 /// SiLU (x * sigmoid(x)) via the tanh identity with approx_tanh; mul/add
 /// only. The SwiGLU gate of Llama-family decoder specs.

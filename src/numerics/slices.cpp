@@ -6,6 +6,7 @@
 
 #include "common/bitops.hpp"
 #include "common/error.hpp"
+#include "numerics/vector_kernel.hpp"
 
 namespace bfpsim {
 
@@ -144,6 +145,73 @@ float fp32_add_aligned(float x, float y, bool round_nearest_even,
   const std::uint64_t mag = sign ? static_cast<std::uint64_t>(-s)
                                  : static_cast<std::uint64_t>(s);
   return compose_normalized(sign, e, mag, round_nearest_even);
+}
+
+namespace {
+
+/// The narrowest carrier the lane-parallel aligned add cannot overflow.
+constexpr int kLaneAccBits = 26;
+
+using LaneFn = void (*)(const float*, const float*, std::size_t, float*,
+                        std::size_t, bool);
+
+/// Shared body of the span forms: y_step 1 walks `y`, 0 broadcasts y[0].
+/// A null `lanes` always loops the scalar reference.
+template <typename Scalar>
+void binary_span(std::span<const float> x, const float* y,
+                 std::size_t y_step, std::span<float> out, bool rne,
+                 LaneFn lanes, Scalar scalar) {
+  BFP_REQUIRE(out.size() == x.size(),
+              "fp32 span op: output size must match the inputs");
+  if (lanes != nullptr && detail::vector_avx2_active()) {
+    lanes(x.data(), y, y_step, out.data(), x.size(), rne);
+    return;
+  }
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    out[i] = scalar(x[i], y[i * y_step]);
+  }
+}
+
+}  // namespace
+
+void fp32_mul_sliced(std::span<const float> x, std::span<const float> y,
+                     std::span<float> out, bool round_nearest_even) {
+  BFP_REQUIRE(y.size() == x.size(),
+              "fp32_mul_sliced: operand spans must have equal sizes");
+  binary_span(x, y.data(), 1, out, round_nearest_even,
+              detail::mul_sliced_avx2, [=](float a, float b) {
+                return fp32_mul_sliced(a, b, round_nearest_even);
+              });
+}
+
+void fp32_mul_sliced(std::span<const float> x, float y, std::span<float> out,
+                     bool round_nearest_even) {
+  binary_span(x, &y, 0, out, round_nearest_even, detail::mul_sliced_avx2,
+              [=](float a, float b) {
+                return fp32_mul_sliced(a, b, round_nearest_even);
+              });
+}
+
+void fp32_add_aligned(std::span<const float> x, std::span<const float> y,
+                      std::span<float> out, bool round_nearest_even,
+                      int acc_bits) {
+  BFP_REQUIRE(y.size() == x.size(),
+              "fp32_add_aligned: operand spans must have equal sizes");
+  binary_span(x, y.data(), 1, out, round_nearest_even,
+              acc_bits >= kLaneAccBits ? detail::add_aligned_avx2 : nullptr,
+              [=](float a, float b) {
+                return fp32_add_aligned(a, b, round_nearest_even, acc_bits);
+              });
+}
+
+void fp32_add_aligned(std::span<const float> x, float y,
+                      std::span<float> out, bool round_nearest_even,
+                      int acc_bits) {
+  binary_span(x, &y, 0, out, round_nearest_even,
+              acc_bits >= kLaneAccBits ? detail::add_aligned_avx2 : nullptr,
+              [=](float a, float b) {
+                return fp32_add_aligned(a, b, round_nearest_even, acc_bits);
+              });
 }
 
 }  // namespace bfpsim

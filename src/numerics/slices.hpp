@@ -17,6 +17,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "numerics/fp32.hpp"
 
@@ -86,5 +87,30 @@ float fp32_mul_sliced(float x, float y, bool round_nearest_even = true);
 /// `acc_bits` models the accumulator carrier width.
 float fp32_add_aligned(float x, float y, bool round_nearest_even = true,
                        int acc_bits = 32);
+
+/// ---------------- span forms ----------------
+///
+/// out[i] = fp32_mul_sliced / fp32_add_aligned(x[i], y[i]) over whole
+/// spans, into caller-owned storage. `out` may alias `x` or `y`; the
+/// scalar overloads above are the golden reference, and these are
+/// bit-identical to a loop over them (tests/test_slices.cpp pins it),
+/// including throwing on the first NaN/Inf operand with the elements
+/// before it written. Under the kSimd kernel tier with AVX2 they run eight
+/// lanes at a time (vector_kernel.hpp); under every other tier they loop
+/// the scalar reference. The `float y` overloads broadcast one operand.
+void fp32_mul_sliced(std::span<const float> x, std::span<const float> y,
+                     std::span<float> out, bool round_nearest_even = true);
+void fp32_mul_sliced(std::span<const float> x, float y, std::span<float> out,
+                     bool round_nearest_even = true);
+
+/// Carriers below 26 bits can overflow (the aligned sum of two 24-bit
+/// mantissas needs 26) and always loop the scalar reference, so they throw
+/// exactly where it does.
+void fp32_add_aligned(std::span<const float> x, std::span<const float> y,
+                      std::span<float> out, bool round_nearest_even = true,
+                      int acc_bits = 32);
+void fp32_add_aligned(std::span<const float> x, float y,
+                      std::span<float> out, bool round_nearest_even = true,
+                      int acc_bits = 32);
 
 }  // namespace bfpsim

@@ -224,11 +224,10 @@ namespace {
 void add_bias_mixed(std::vector<float>& x, int rows, int cols,
                     const std::vector<float>& bias, ForwardStats& stats,
                     const AcceleratorSystem& sys) {
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      auto& v = x[static_cast<std::size_t>(r) * cols + c];
-      v = fp32_add_aligned(v, bias[static_cast<std::size_t>(c)]);
-    }
+  const auto width = static_cast<std::size_t>(cols);
+  for (std::size_t r = 0; r < static_cast<std::size_t>(rows); ++r) {
+    const std::span<float> row(x.data() + r * width, width);
+    fp32_add_aligned(row, bias, row);
   }
   const auto n = static_cast<std::uint64_t>(rows) * cols;
   stats.nonlinear_ops.fp_add += n;
@@ -302,9 +301,7 @@ std::vector<float> forward_column_shards(
   };
   auto residual = [&](const std::vector<float>& y) {
     BFP_ASSERT(x.size() == y.size());
-    for (std::size_t i = 0; i < x.size(); ++i) {
-      x[i] = fp32_add_aligned(x[i], y[i]);
-    }
+    fp32_add_aligned(x, y, x);
     OpCounter ops;
     ops.fp_add = x.size();
     charge_all(ops);
@@ -327,7 +324,7 @@ std::vector<float> forward_column_shards(
       add_bias_mixed(y, t, nc, b.*bias, s, system);
       if (gelu) {
         OpCounter ops;
-        y = approx_gelu(std::span<const float>(y), &ops);
+        approx_gelu(y, y, &ops);
         charge(s, ops);
       }
       if (cards == 1) return y;
@@ -339,14 +336,15 @@ std::vector<float> forward_column_shards(
     return full;
   };
 
+  // Both LayerNorms of every block write into this one buffer.
+  std::vector<float> ln(x.size());
   for (std::size_t blk = 0; blk < static_cast<std::size_t>(cfg.depth);
        ++blk) {
     const BlockWeights& norms = shards[0][blk];  // replicated on every card
 
     // ---- attention (LN -> QKV -> per-head SDPA -> proj -> residual) ----
     OpCounter ln1_ops;
-    const auto ln1 = approx_layernorm(x, t, d, norms.ln1_gamma,
-                                      norms.ln1_beta, &ln1_ops);
+    approx_layernorm(x, t, d, norms.ln1_gamma, norms.ln1_beta, ln, &ln1_ops);
     charge_all(ln1_ops);
     std::vector<float> attn_out(rows * static_cast<std::size_t>(d));
     for (std::size_t c = 0; c < shards.size(); ++c) {
@@ -354,7 +352,7 @@ std::vector<float> forward_column_shards(
       ForwardStats& s = card_stats[c];
       // The card's [Q_c | K_c | V_c] columns hold everything its heads
       // need: per-head attention stays card-local.
-      auto qkv = gemm_mixed(system, ln1, t, d, b.qkv_w, 3 * dc, s,
+      auto qkv = gemm_mixed(system, ln, t, d, b.qkv_w, 3 * dc, s,
                             policy.qkv);
       add_bias_mixed(qkv, t, 3 * dc, b.qkv_b, s, system);
       attend_heads(
@@ -363,15 +361,16 @@ std::vector<float> forward_column_shards(
               const std::vector<float>& v) {
             auto scores =
                 gemm_mixed(system, q, t, hd, kt, t, s, policy.attention);
-            // 1/sqrt(head_dim) scaling on the fp32 multiply path.
-            for (auto& e : scores) e = fp32_mul_sliced(e, scale);
+            // 1/sqrt(head_dim) scaling on the fp32 multiply path, then
+            // the softmax, both in place.
+            fp32_mul_sliced(scores, scale, scores);
             OpCounter scale_ops;
             scale_ops.fp_mul = scores.size();
             charge(s, scale_ops);
             OpCounter softmax_ops;
-            const auto probs = approx_softmax(scores, t, t, &softmax_ops);
+            approx_softmax(scores, t, t, scores, &softmax_ops);
             charge(s, softmax_ops);
-            return gemm_mixed(system, probs, t, t, v, hd, s,
+            return gemm_mixed(system, scores, t, t, v, hd, s,
                               policy.attention);
           });
     }
@@ -380,10 +379,9 @@ std::vector<float> forward_column_shards(
 
     // ---- MLP (LN -> fc1 -> GELU -> fc2 -> residual) ----
     OpCounter ln2_ops;
-    const auto ln2 = approx_layernorm(x, t, d, norms.ln2_gamma,
-                                      norms.ln2_beta, &ln2_ops);
+    approx_layernorm(x, t, d, norms.ln2_gamma, norms.ln2_beta, ln, &ln2_ops);
     charge_all(ln2_ops);
-    const auto act = linear(blk, ln2, d, m, &BlockWeights::fc1_w,
+    const auto act = linear(blk, ln, d, m, &BlockWeights::fc1_w,
                             &BlockWeights::fc1_b, policy.mlp, /*gelu=*/true);
     residual(linear(blk, act, m, d, &BlockWeights::fc2_w,
                     &BlockWeights::fc2_b, policy.mlp, /*gelu=*/false));
