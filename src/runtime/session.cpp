@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 #include "fabric/scheduler.hpp"
@@ -88,12 +89,24 @@ ModelId Session::deploy(const VitWeights& weights, const std::string& name) {
   return models_.back().info.id;
 }
 
-Session::Deployed& Session::checked(ModelId model) {
+const Session::Deployed& Session::checked(ModelId model) const {
   BFP_REQUIRE(model >= 0 &&
                   static_cast<std::size_t>(model) < models_.size() &&
                   models_[static_cast<std::size_t>(model)].live,
               "Session: unknown or undeployed model");
   return models_[static_cast<std::size_t>(model)];
+}
+
+Session::Deployed& Session::checked(ModelId model) {
+  return const_cast<Deployed&>(std::as_const(*this).checked(model));
+}
+
+const VitModel& Session::model(ModelId model) const {
+  return checked(model).model;
+}
+
+std::span<const DeviceBuffer> Session::buffers(ModelId model) const {
+  return checked(model).buffers;
 }
 
 InferenceResult Session::account_inference(

@@ -159,6 +159,12 @@ class Session {
   void undeploy(ModelId model);
 
   const DeploymentInfo& info(ModelId model) const;
+
+  /// A live deployed model and its device buffers (deploy order: each
+  /// block's qkv, proj, fc1, fc2 images and its fp32 parameters, then the
+  /// head).
+  const VitModel& model(ModelId model) const;
+  std::span<const DeviceBuffer> buffers(ModelId model) const;
   const std::vector<CommandRecord>& log() const { return log_; }
   void clear_log() { log_.clear(); }
 
@@ -174,6 +180,7 @@ class Session {
   };
 
   Deployed& checked(ModelId model);
+  const Deployed& checked(ModelId model) const;
 
   /// Apply the DMA model and command log to one precomputed forward and
   /// assemble its InferenceResult (serial, deterministic order — the

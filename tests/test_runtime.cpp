@@ -103,6 +103,46 @@ TEST(Session, DeployReportsFootprintAndCompression) {
   EXPECT_GT(session.memory().allocated_bytes(), 0u);
 }
 
+TEST(Session, DeployImageGolden) {
+  // The bytes deploy uploads, buffer by buffer in deploy order, with the
+  // footprint and upload cycles it reports. vit_test_tiny, weights seed 17;
+  // a session whose PU rounds by truncation uploads the same image (the
+  // device image is always bfp8 with round-to-nearest-even).
+  struct ImageGolden {
+    RoundMode pu_round;
+    std::size_t buffers;
+    std::uint64_t quantized_weight_bytes;
+    std::uint64_t fp32_param_bytes;
+    std::uint64_t upload_cycles;
+    std::uint64_t digest;
+  };
+  const ImageGolden goldens[] = {
+      {RoundMode::kNearestEven, 28, 105860, 7208, 3123,
+       0x30166bd7267b5208ULL},
+      {RoundMode::kTruncate, 28, 105860, 7208, 3123, 0x30166bd7267b5208ULL},
+  };
+  for (const ImageGolden& g : goldens) {
+    SystemConfig cfg;
+    cfg.pu.quant_round = g.pu_round;
+    Session session(cfg);
+    const ModelId id = session.deploy(random_weights(vit_test_tiny(), 17));
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const DeviceBuffer& buf : session.buffers(id)) {
+      std::vector<std::uint8_t> bytes(buf.bytes);
+      (void)session.memory().read(buf, 0, bytes);
+      for (const std::uint8_t byte : bytes) {
+        h = (h ^ byte) * 0x100000001b3ULL;
+      }
+    }
+    const DeploymentInfo& info = session.info(id);
+    EXPECT_EQ(session.buffers(id).size(), g.buffers);
+    EXPECT_EQ(info.quantized_weight_bytes, g.quantized_weight_bytes);
+    EXPECT_EQ(info.fp32_param_bytes, g.fp32_param_bytes);
+    EXPECT_EQ(info.upload_cycles, g.upload_cycles);
+    EXPECT_EQ(h, g.digest);
+  }
+}
+
 TEST(Session, InferMatchesDirectMixedForward) {
   Session session;
   const VitConfig cfg = vit_test_tiny();
