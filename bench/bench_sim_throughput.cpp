@@ -23,6 +23,11 @@
 // share more than T above the committed one fails the run: operand
 // quantization must not creep back into dominating a GEMM call.
 //
+// A report-only pair of points at DeiT-Small's fc1 shape compares a static
+// weight quantized per call with the same weight packed once
+// (PackedBfpMatrix); they carry no baseline anchor and gate nothing but
+// their bit equality.
+//
 // Usage: bench_sim_throughput [--smoke] [--threads N] [--json-out FILE]
 //                             [--baseline FILE] [--tolerance T]
 //                             [--check-speedup X] [--seed S]
@@ -343,6 +348,53 @@ int main(int argc, char** argv) {
     }
   }
   json << quantize_points.str();
+
+  // Report-only (no baseline anchor): one GEMM at DeiT-Small's fc1 shape
+  // with a static weight, per call (quantize and pack B every call, as an
+  // unprepared caller does) against the weight packed once, as a model
+  // owning it runs it. Both at the best tier, on the pool, timed
+  // alternately; the outputs must be the same bits.
+  {
+    const Shape s{197, 384, 1536};
+    Rng rng(seed + 1536);
+    const std::vector<float> a =
+        rng.uniform_vec(static_cast<std::size_t>(s.m * s.k), -2.0f, 2.0f);
+    const std::vector<float> w =
+        rng.uniform_vec(static_cast<std::size_t>(s.k * s.n), -0.05f, 0.05f);
+    const ProcessingUnit pu(pu_cfg);
+    const PackedBfpMatrix packed =
+        quantize_packed(w, s.k, s.n, pu.operand_spec());
+    const std::vector<float> per_call =
+        pu.gemm_bfp8_fast(a, s.m, s.k, w, s.n, &pool).c;
+    const std::vector<float> prepared =
+        pu.gemm_bfp8_packed(a, s.m, s.k, packed, s.n, &pool).c;
+    const bool exact =
+        per_call.size() == prepared.size() &&
+        std::memcmp(per_call.data(), prepared.data(),
+                    per_call.size() * sizeof(float)) == 0;
+    if (!exact) {
+      std::fprintf(stderr, "BIT-EXACTNESS FAILURE: %s prepared weight\n",
+                   s.str().c_str());
+      gate_failed = true;
+    }
+    const auto [per_call_wall, prepared_wall] = min_wall_alternating(
+        [&] { (void)pu.gemm_bfp8_fast(a, s.m, s.k, w, s.n, &pool); },
+        [&] { (void)pu.gemm_bfp8_packed(a, s.m, s.k, packed, s.n, &pool); },
+        smoke ? 0.2 : 0.6);
+    for (const auto& [variant, wall] :
+         {std::pair{"per_call_weight", per_call_wall},
+          std::pair{"prepared_weight", prepared_wall}}) {
+      json << ",{\"shape\":\"" << s.str() << "\",\"variant\":\"" << variant
+           << "\",\"wall_ms_per_rep\":" << 1e3 * wall
+           << ",\"speedup_vs_per_call\":" << per_call_wall / wall
+           << ",\"bit_exact\":" << (exact ? "true" : "false") << "}";
+    }
+    std::fprintf(stderr,
+                 "  gemm %-12s per-call weight %8.3f ms/rep, prepared weight "
+                 "%8.3f ms/rep (%.2fx)\n",
+                 s.str().c_str(), 1e3 * per_call_wall, 1e3 * prepared_wall,
+                 per_call_wall / prepared_wall);
+  }
 
   // End-to-end serving slice: the whole stack (quantize + kernels + event
   // loop) at the active tier, measured as makespan sim-cycles per wall

@@ -10,8 +10,24 @@ ClusterExecutor::ClusterExecutor(const VitWeights& weights,
                                  ClusterTopology topology,
                                  PartitionStrategy strategy)
     : topo_(std::move(topology)),
-      plan_(partition_model(weights, strategy, topo_.num_cards())) {
+      plan_(partition_model(weights, strategy, topo_.num_cards())),
+      packed_(strategy == PartitionStrategy::kTensor ? plan_.shards.size()
+                                                     : 1) {
   topo_.validate();
+}
+
+ClusterExecutor::ClusterExecutor(const VitModel& model,
+                                 ClusterTopology topology,
+                                 PartitionStrategy strategy)
+    : topo_(std::move(topology)) {
+  topo_.validate();
+  if (strategy == PartitionStrategy::kPipeline) {
+    plan_ = pipeline_stages(model.config(), topo_.num_cards());
+    model_ = &model;
+  } else {
+    plan_ = partition_model(model.weights(), strategy, topo_.num_cards());
+    packed_.resize(plan_.shards.size());
+  }
 }
 
 std::vector<float> ClusterExecutor::forward(std::vector<float> x,
@@ -19,21 +35,34 @@ std::vector<float> ClusterExecutor::forward(std::vector<float> x,
                                             ThreadPool* pool) const {
   AcceleratorSystem sys(topo_.card_config());
   sys.set_thread_pool(pool);
+  const std::optional<QuantSpec> spec = sys.packed_spec();
   ClusterStats local;
   if (plan_.strategy == PartitionStrategy::kPipeline) {
     // Each stage walks its block range of the one block list, carrying the
     // state tensor across: the single-card loop, split — bit-identical.
-    const std::span<const BlockWeights> blocks(plan_.blocks);
+    const std::span<const BlockWeights> blocks =
+        model_ != nullptr ? std::span<const BlockWeights>(
+                                model_->weights().blocks)
+                          : std::span<const BlockWeights>(plan_.blocks);
+    std::span<const PackedBlock> packed;
+    if (spec.has_value()) {
+      packed = model_ != nullptr
+                   ? model_->packed_blocks(*spec)
+                   : packed_.front().get(plan_.cfg, blocks, *spec);
+    }
     VitConfig stage_cfg = plan_.cfg;
     for (const PipelineStage& stage : plan_.stages) {
-      const std::span<const BlockWeights> range = blocks.subspan(
-          static_cast<std::size_t>(stage.first_block),
-          static_cast<std::size_t>(stage.num_blocks));
+      const auto first = static_cast<std::size_t>(stage.first_block);
+      const auto count = static_cast<std::size_t>(stage.num_blocks);
+      const ShardWeights range{
+          blocks.subspan(first, count),
+          packed.empty() ? packed : packed.subspan(first, count)};
       stage_cfg.depth = stage.num_blocks;
       ForwardStats fstats;
-      x = forward_column_shards(
-          stage_cfg, std::span<const std::span<const BlockWeights>>(&range, 1),
-          std::move(x), sys, std::span<ForwardStats>(&fstats, 1));
+      x = forward_column_shards(stage_cfg,
+                                std::span<const ShardWeights>(&range, 1),
+                                std::move(x), sys,
+                                std::span<ForwardStats>(&fstats, 1));
       local.card_compute_cycles.push_back(fstats.total_cycles());
       local.compute_cycles += fstats.total_cycles();
       local.bfp_macs += fstats.bfp_macs;
@@ -47,10 +76,14 @@ std::vector<float> ClusterExecutor::forward(std::vector<float> x,
       }
     }
   } else {
-    // Every card runs the shared encoder-block walk on its column shard.
-    std::vector<std::span<const BlockWeights>> shards;
-    for (const TensorShard& shard : plan_.shards) {
-      shards.emplace_back(shard.blocks);
+    // Every card runs the shared encoder-block walk on its column shard,
+    // which packs its own slice: shard splits sit on block boundaries.
+    std::vector<ShardWeights> shards;
+    for (std::size_t c = 0; c < plan_.shards.size(); ++c) {
+      const std::span<const BlockWeights> blocks(plan_.shards[c].blocks);
+      shards.push_back(
+          {blocks, spec.has_value() ? packed_[c].get(plan_.cfg, blocks, *spec)
+                                    : std::span<const PackedBlock>{}});
     }
     std::vector<ForwardStats> card_stats(shards.size());
     x = forward_column_shards(plan_.cfg, shards, std::move(x), sys,

@@ -79,9 +79,20 @@ struct StreamTiming {
 class ClusterExecutor {
  public:
   /// Partition `weights` across the topology's cards. Throws ShapeError on
-  /// indivisible models (see partition_model).
+  /// indivisible models (see partition_model). The executor owns its
+  /// blocks (pipeline) or column shards (tensor) and packs their static
+  /// weights on the first bfp8 forward.
   ClusterExecutor(const VitWeights& weights, ClusterTopology topology,
                   PartitionStrategy strategy);
+
+  /// Borrow a live model: a pipeline executor's stages are ranges of
+  /// `model`'s own blocks and use `model`'s packed weights, so nothing is
+  /// copied or packed twice. A tensor executor still slices (and packs)
+  /// its own column shards. `model` must outlive the executor.
+  ClusterExecutor(const VitModel& model, ClusterTopology topology,
+                  PartitionStrategy strategy);
+  ClusterExecutor(VitModel&& model, ClusterTopology topology,
+                  PartitionStrategy strategy) = delete;
 
   int num_cards() const { return topo_.num_cards(); }
   const ClusterTopology& topology() const { return topo_; }
@@ -108,6 +119,11 @@ class ClusterExecutor {
 
   ClusterTopology topo_;
   PartitionPlan plan_;
+  /// The borrowed model whose blocks a pipeline plan ranges over; null
+  /// when the plan owns them.
+  const VitModel* model_ = nullptr;
+  /// Packed weights of the owned pipeline blocks, or one per tensor shard.
+  std::vector<PackedWeightCache> packed_;
 };
 
 }  // namespace bfpsim

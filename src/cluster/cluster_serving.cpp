@@ -100,7 +100,7 @@ OnlineServeResult serve_online(const VitModel& model,
   // ---- phase 1: each request runs whole on one unit of the card ----
   SystemConfig one = sys.config();
   one.num_units = 1;
-  const ClusterExecutor exec(model.weights(), ClusterTopology::ring(1, {}, one),
+  const ClusterExecutor exec(model, ClusterTopology::ring(1, {}, one),
                              PartitionStrategy::kPipeline);
   ClusterForwards fwd = cluster_forwards(exec, trace, pool);
 

@@ -34,8 +34,7 @@ std::vector<float> slice_cols(const std::vector<float>& src, int rows,
   return out;
 }
 
-PartitionPlan partition_pipeline(const VitWeights& w, int cards) {
-  const VitConfig& cfg = w.cfg;
+PartitionPlan partition_pipeline(const VitConfig& cfg, int cards) {
   if (cfg.depth % cards != 0) {
     throw ShapeError("partition_model: depth " + std::to_string(cfg.depth) +
                      " not divisible by " + std::to_string(cards) +
@@ -45,7 +44,6 @@ PartitionPlan partition_pipeline(const VitWeights& w, int cards) {
   plan.strategy = PartitionStrategy::kPipeline;
   plan.cards = cards;
   plan.cfg = cfg;
-  plan.blocks = w.blocks;
   const int per_stage = cfg.depth / cards;
   for (int c = 0; c < cards; ++c) {
     plan.stages.push_back({c, c * per_stage, per_stage});
@@ -156,9 +154,19 @@ PartitionPlan partition_model(const VitWeights& w, PartitionStrategy strategy,
               "partition_model: cards must be in [1,64]");
   BFP_REQUIRE(w.blocks.size() == static_cast<std::size_t>(w.cfg.depth),
               "partition_model: weight count must match depth");
-  return strategy == PartitionStrategy::kPipeline
-             ? partition_pipeline(w, cards)
-             : partition_tensor(w, cards);
+  if (strategy == PartitionStrategy::kTensor) {
+    return partition_tensor(w, cards);
+  }
+  PartitionPlan plan = partition_pipeline(w.cfg, cards);
+  plan.blocks = w.blocks;
+  return plan;
+}
+
+PartitionPlan pipeline_stages(const VitConfig& cfg, int cards) {
+  cfg.validate();
+  BFP_REQUIRE(cards >= 1 && cards <= 64,
+              "partition_model: cards must be in [1,64]");
+  return partition_pipeline(cfg, cards);
 }
 
 }  // namespace bfpsim

@@ -71,7 +71,8 @@ struct PartitionPlan {
 
   std::vector<PipelineStage> stages;  ///< pipeline strategy only
   /// Pipeline strategy only: the model's encoder blocks, held once; the
-  /// stages are ranges of it.
+  /// stages are ranges of it. Empty in a plan from pipeline_stages, whose
+  /// executor borrows a live model's blocks instead.
   std::vector<BlockWeights> blocks;
   std::vector<TensorShard> shards;  ///< tensor strategy only
 
@@ -90,5 +91,10 @@ struct PartitionPlan {
 /// quantization-block boundaries.
 PartitionPlan partition_model(const VitWeights& w, PartitionStrategy strategy,
                               int cards);
+
+/// The pipeline plan of `cfg` across `cards` without a copy of the blocks
+/// (PartitionPlan::blocks stays empty): the stages are ranges of a live
+/// model's own blocks. Same divisibility rule as partition_model.
+PartitionPlan pipeline_stages(const VitConfig& cfg, int cards);
 
 }  // namespace bfpsim

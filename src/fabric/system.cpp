@@ -201,6 +201,22 @@ GemmRun AcceleratorSystem::gemm(std::span<const float> a, int m, int k,
   return run;
 }
 
+GemmRun AcceleratorSystem::gemm_packed(std::span<const float> a, int m,
+                                       int k, const PackedBfpMatrix& b,
+                                       int n) const {
+  BFP_REQUIRE(packed_spec().has_value(),
+              "AcceleratorSystem::gemm_packed: packed operands need the "
+              "bfp8 mode");
+  GemmRun run = pu_.gemm_bfp8_packed(a, m, k, b, n, pool_);
+  run.compute_cycles = gemm_latency(m, k, n).cycles;
+  return run;
+}
+
+std::optional<QuantSpec> AcceleratorSystem::packed_spec() const {
+  if (cfg_.pu.mode != "bfp8") return std::nullopt;
+  return pu_.operand_spec();
+}
+
 GemmRun AcceleratorSystem::gemm(const NumericMode& mode,
                                 std::span<const float> a, int m, int k,
                                 std::span<const float> b, int n) const {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -113,6 +114,18 @@ class AcceleratorSystem {
   /// latency, exactly like configuring the whole system for that mode.
   GemmRun gemm(const NumericMode& mode, std::span<const float> a, int m,
                int k, std::span<const float> b, int n) const;
+
+  /// The default GEMM with B already packed (see
+  /// ProcessingUnit::gemm_bfp8_packed): bit-identical to gemm(a, m, k, w,
+  /// n) for the weights w that `b` was quantized from with
+  /// *packed_spec(). Only valid when packed_spec() is set.
+  GemmRun gemm_packed(std::span<const float> a, int m, int k,
+                      const PackedBfpMatrix& b, int n) const;
+
+  /// How a static weight must be quantized to feed gemm_packed, or
+  /// nullopt when this system's GEMMs do not run the bfp8 kernel (a
+  /// non-bfp8 numeric mode quantizes through its own registry format).
+  std::optional<QuantSpec> packed_spec() const;
 
   const SystemConfig& config() const { return cfg_; }
   const MemoryInterface& memory() const { return mem_; }

@@ -89,8 +89,8 @@ inline double pow2_neg(int e) {
   return std::bit_cast<double>(static_cast<std::uint64_t>(1023 - e) << 52);
 }
 
-/// Quantize the tile at `src` (row stride `stride`) into `out`, whose
-/// mantissas must be zero on entry. Only the top-left valid_rows x
+/// Quantize the tile at `src` (row stride `stride`) into the row-major
+/// mantissas `man` (fmt.elements() of them, zero on entry) and `expb`. Only the top-left valid_rows x
 /// valid_cols elements are read; the rest of the block is zero padding.
 ///
 /// One pass takes the tile's extremes and its largest magnitude (whose bit
@@ -104,7 +104,8 @@ inline double pow2_neg(int e) {
 /// product normal), so each mantissa is round(v * 2^-e) exactly.
 template <RoundMode kRound>
 void quantize_tile(const float* src, std::size_t stride, int valid_rows,
-                   int valid_cols, const BfpFormat& fmt, BfpBlock& out) {
+                   int valid_cols, const BfpFormat& fmt, std::int16_t* man,
+                   std::int32_t& expb) {
   float lo = 0.0F;
   float hi = 0.0F;
   std::uint32_t max_abs_bits = 0;
@@ -120,7 +121,7 @@ void quantize_tile(const float* src, std::size_t stride, int valid_rows,
   }
   BFP_REQUIRE(max_abs_bits < 0x7F800000U, "quantize_block: NaN/Inf input");
   if (max_abs_bits == 0) {
-    out.expb = static_cast<std::int32_t>(fmt.exp_min());
+    expb = static_cast<std::int32_t>(fmt.exp_min());
     return;
   }
 
@@ -143,20 +144,20 @@ void quantize_tile(const float* src, std::size_t stride, int valid_rows,
     }
   }
 
-  out.expb = e;
+  expb = e;
   for (int r = 0; r < valid_rows; ++r) {
     const float* row = src + static_cast<std::size_t>(r) * stride;
-    std::int16_t* man = out.man.data() + static_cast<std::size_t>(r) * fmt.cols;
+    std::int16_t* mrow = man + static_cast<std::size_t>(r) * fmt.cols;
     for (int c = 0; c < valid_cols; ++c) {
-      man[c] = static_cast<std::int16_t>(static_cast<std::int32_t>(
+      mrow[c] = static_cast<std::int16_t>(static_cast<std::int32_t>(
           round_scaled<kRound>(static_cast<double>(row[c]) * scale)));
     }
   }
 #if BFPSIM_CONTRACTS
-  BFPSIM_ENSURE(out.expb >= fmt.exp_min() && out.expb <= fmt.exp_max(),
+  BFPSIM_ENSURE(expb >= fmt.exp_min() && expb <= fmt.exp_max(),
                 "quantize_block: shared exponent outside format range");
-  for (const std::int16_t m : out.man) {
-    BFPSIM_ENSURE(m >= fmt.mant_min() && m <= fmt.mant_max(),
+  for (int i = 0; i < fmt.elements(); ++i) {
+    BFPSIM_ENSURE(man[i] >= fmt.mant_min() && man[i] <= fmt.mant_max(),
                   "quantize_block: mantissa outside format range");
   }
 #endif
@@ -164,19 +165,84 @@ void quantize_tile(const float* src, std::size_t stride, int valid_rows,
 
 void quantize_tile(const float* src, std::size_t stride, int valid_rows,
                    int valid_cols, const BfpFormat& fmt, RoundMode round,
-                   BfpBlock& out) {
+                   std::int16_t* man, std::int32_t& expb) {
   switch (round) {
     case RoundMode::kTruncate:
       return quantize_tile<RoundMode::kTruncate>(src, stride, valid_rows,
-                                                 valid_cols, fmt, out);
+                                                 valid_cols, fmt, man, expb);
     case RoundMode::kNearestEven:
-      return quantize_tile<RoundMode::kNearestEven>(src, stride, valid_rows,
-                                                    valid_cols, fmt, out);
+      return quantize_tile<RoundMode::kNearestEven>(
+          src, stride, valid_rows, valid_cols, fmt, man, expb);
     case RoundMode::kHalfAway:
       return quantize_tile<RoundMode::kHalfAway>(src, stride, valid_rows,
-                                                 valid_cols, fmt, out);
+                                                 valid_cols, fmt, man, expb);
   }
   BFP_ASSERT(false);
+}
+
+/// Block-grid walk shared by quantize_matrix and quantize_packed: calls
+/// `tile(br, bc, src, stride, valid_rows, valid_cols)` for every block in
+/// row-major grid order.
+template <typename Tile>
+void for_each_tile(std::span<const float> data, int rows, int cols,
+                   const BfpFormat& fmt, Tile&& tile) {
+  const int brs = (rows + fmt.rows - 1) / fmt.rows;
+  const int bcs = (cols + fmt.cols - 1) / fmt.cols;
+  for (int br = 0; br < brs; ++br) {
+    const int r0 = br * fmt.rows;
+    for (int bc = 0; bc < bcs; ++bc) {
+      const int c0 = bc * fmt.cols;
+      tile(br, bc, data.data() + static_cast<std::size_t>(r0) * cols + c0,
+           static_cast<std::size_t>(cols), std::min(fmt.rows, rows - r0),
+           std::min(fmt.cols, cols - c0));
+    }
+  }
+}
+
+/// Interleave one tile into `dst` (see PackedBfpMatrix).
+template <typename T>
+void pack_tile_as(const std::int16_t* man, int kk, int cols, T* dst) {
+  const auto width = static_cast<std::size_t>(cols);
+  for (int p = 0; p < (kk + 1) / 2; ++p) {
+    const std::int16_t* even = man + static_cast<std::size_t>(2 * p) * width;
+    const std::int16_t* odd = 2 * p + 1 < kk ? even + width : nullptr;
+    T* row = dst + static_cast<std::size_t>(p) * 2 * width;
+    for (std::size_t j = 0; j < width; ++j) {
+      row[2 * j] = static_cast<T>(even[j]);
+      row[2 * j + 1] = static_cast<T>(odd != nullptr ? odd[j] : 0);
+    }
+  }
+}
+
+/// An empty packed matrix of rows x cols (padded up to blocks) in `fmt`.
+PackedBfpMatrix packed_shell(int rows, int cols, const BfpFormat& fmt) {
+  PackedBfpMatrix p;
+  p.fmt = fmt;
+  p.rows = ((rows + fmt.rows - 1) / fmt.rows) * fmt.rows;
+  p.cols = ((cols + fmt.cols - 1) / fmt.cols) * fmt.cols;
+  const std::size_t tiles = static_cast<std::size_t>(p.block_rows()) *
+                            static_cast<std::size_t>(p.block_cols());
+  if (p.wide()) {
+    p.man16.resize(tiles * p.tile_elems());
+  } else {
+    p.man8.resize(tiles * p.tile_elems());
+  }
+  p.expb.resize(tiles);
+  return p;
+}
+
+/// Store one tile's row-major mantissas and exponent at grid slot (bk, bc).
+void store_tile(PackedBfpMatrix& p, int bk, int bc, const std::int16_t* man,
+                std::int32_t expb) {
+  const std::size_t idx = p.tile_index(bk, bc);
+  p.expb[idx] = expb;
+  if (p.wide()) {
+    pack_tile_as(man, p.fmt.rows, p.fmt.cols,
+                 p.man16.data() + idx * p.tile_elems());
+  } else {
+    pack_tile_as(man, p.fmt.rows, p.fmt.cols,
+                 p.man8.data() + idx * p.tile_elems());
+  }
 }
 
 }  // namespace
@@ -188,7 +254,7 @@ BfpBlock quantize_block(std::span<const float> tile, const BfpFormat& fmt,
               "quantize_block: tile size must equal rows*cols");
   BfpBlock out(fmt);
   quantize_tile(tile.data(), static_cast<std::size_t>(fmt.cols), fmt.rows,
-                fmt.cols, fmt, round, out);
+                fmt.cols, fmt, round, out.man.data(), out.expb);
   return out;
 }
 
@@ -303,22 +369,62 @@ BfpMatrix quantize_matrix(std::span<const float> data, int rows, int cols,
   m.fmt = fmt;
   m.rows = ((rows + fmt.rows - 1) / fmt.rows) * fmt.rows;
   m.cols = ((cols + fmt.cols - 1) / fmt.cols) * fmt.cols;
-  const int brs = m.rows / fmt.rows;
-  const int bcs = m.cols / fmt.cols;
-  m.blocks.reserve(static_cast<std::size_t>(brs) * bcs);
-  for (int br = 0; br < brs; ++br) {
-    const int r0 = br * fmt.rows;
-    for (int bc = 0; bc < bcs; ++bc) {
-      const int c0 = bc * fmt.cols;
-      m.blocks.emplace_back(fmt);
-      quantize_tile(data.data() + static_cast<std::size_t>(r0) * cols + c0,
-                    static_cast<std::size_t>(cols),
-                    std::min(fmt.rows, rows - r0),
-                    std::min(fmt.cols, cols - c0), fmt, round,
-                    m.blocks.back());
+  m.blocks.reserve(static_cast<std::size_t>(m.block_rows()) *
+                   static_cast<std::size_t>(m.block_cols()));
+  for_each_tile(data, rows, cols, fmt,
+                [&](int, int, const float* src, std::size_t stride,
+                    int valid_rows, int valid_cols) {
+                  BfpBlock& b = m.blocks.emplace_back(fmt);
+                  quantize_tile(src, stride, valid_rows, valid_cols, fmt,
+                                round, b.man.data(), b.expb);
+                });
+  return m;
+}
+
+std::int32_t PackedBfpMatrix::mantissa(int r, int c) const {
+  const std::size_t lane =
+      tile_index(r / fmt.rows, c / fmt.cols) * tile_elems() +
+      static_cast<std::size_t>((r % fmt.rows) / 2) * 2 *
+          static_cast<std::size_t>(fmt.cols) +
+      static_cast<std::size_t>(2 * (c % fmt.cols) + (r % fmt.rows) % 2);
+  return wide() ? man16[lane] : man8[lane];
+}
+
+void pack_tile(const std::int16_t* man, int kk, int cols, std::int16_t* dst) {
+  pack_tile_as(man, kk, cols, dst);
+}
+
+PackedBfpMatrix pack_matrix(const BfpMatrix& m) {
+  m.fmt.validate();
+  PackedBfpMatrix p = packed_shell(m.rows, m.cols, m.fmt);
+  for (int bk = 0; bk < m.block_rows(); ++bk) {
+    for (int bc = 0; bc < m.block_cols(); ++bc) {
+      const BfpBlock& b = m.block(bk, bc);
+      store_tile(p, bk, bc, b.man.data(), b.expb);
     }
   }
-  return m;
+  return p;
+}
+
+PackedBfpMatrix quantize_packed(std::span<const float> data, int rows,
+                                int cols, const QuantSpec& spec) {
+  const BfpFormat& fmt = spec.fmt;
+  fmt.validate();
+  BFP_REQUIRE(rows > 0 && cols > 0 &&
+                  data.size() == static_cast<std::size_t>(rows) * cols,
+              "quantize_packed: data size must equal rows*cols");
+  PackedBfpMatrix p = packed_shell(rows, cols, fmt);
+  std::vector<std::int16_t> man(static_cast<std::size_t>(fmt.elements()));
+  for_each_tile(data, rows, cols, fmt,
+                [&](int bk, int bc, const float* src, std::size_t stride,
+                    int valid_rows, int valid_cols) {
+                  std::fill(man.begin(), man.end(), std::int16_t{0});
+                  std::int32_t expb = 0;
+                  quantize_tile(src, stride, valid_rows, valid_cols, fmt,
+                                spec.round, man.data(), expb);
+                  store_tile(p, bk, bc, man.data(), expb);
+                });
+  return p;
 }
 
 std::vector<float> bfp_gemm_reference(const BfpMatrix& a, const BfpMatrix& b,

@@ -53,6 +53,8 @@ struct BfpFormat {
   int elements() const { return rows * cols; }
 
   void validate() const;
+
+  bool operator==(const BfpFormat&) const = default;
 };
 
 /// The paper's bfp8 with 8x8 blocks.
@@ -169,6 +171,72 @@ struct BfpMatrix {
 BfpMatrix quantize_matrix(std::span<const float> data, int rows, int cols,
                           const BfpFormat& fmt,
                           RoundMode round = RoundMode::kNearestEven);
+
+/// How a matrix is quantized: block format plus rounding. Quantization is a
+/// pure function of the data and this spec.
+struct QuantSpec {
+  BfpFormat fmt;
+  RoundMode round = RoundMode::kNearestEven;
+
+  bool operator==(const QuantSpec&) const = default;
+};
+
+/// A quantized GEMM B operand in the tile kernels' own layout: the host
+/// analogue of Fig. 4's Y buffer, which holds a block's mantissas in 16
+/// BRAMs and its shared exponent in one more.
+///
+/// One contiguous mantissa plane plus one exponent per tile. Tiles are
+/// stored column by column, each column of tiles contiguous in bk (tile
+/// (bk, bc) is number bc * block_rows() + bk): the order one output
+/// tile's k-walk reads them. Inside a tile the mantissas are
+/// pair-interleaved: pair-row p holds, for each column j, the pair
+/// (y[2p][j], y[2p+1][j]), which is what vpmaddwd consumes; an odd tile
+/// height gets one zero row. Formats of up to 8 mantissa bits keep an int8
+/// plane (8x8 tiles: 64 + 4 bytes per 64 elements); wider formats keep the
+/// same layout in int16 lanes.
+struct PackedBfpMatrix {
+  BfpFormat fmt;
+  int rows = 0;  ///< multiple of fmt.rows
+  int cols = 0;  ///< multiple of fmt.cols
+  std::vector<std::int8_t> man8;    ///< fmt.mant_bits <= 8
+  std::vector<std::int16_t> man16;  ///< wider formats
+  std::vector<std::int32_t> expb;   ///< one per tile, tile order
+
+  int block_rows() const { return rows / fmt.rows; }
+  int block_cols() const { return cols / fmt.cols; }
+  bool wide() const { return fmt.mant_bits > 8; }
+  /// Mantissa lanes per tile: the tile's rows rounded up to pairs, times
+  /// its columns.
+  std::size_t tile_elems() const {
+    return static_cast<std::size_t>((fmt.rows + 1) / 2) * 2 *
+           static_cast<std::size_t>(fmt.cols);
+  }
+  std::size_t tile_index(int bk, int bc) const {
+    return static_cast<std::size_t>(bc) *
+               static_cast<std::size_t>(block_rows()) +
+           static_cast<std::size_t>(bk);
+  }
+  /// Mantissa of element (r, c) (padded coordinates).
+  std::int32_t mantissa(int r, int c) const;
+  /// Host bytes held by the planes.
+  std::size_t bytes() const {
+    return man8.size() + man16.size() * sizeof(std::int16_t) +
+           expb.size() * sizeof(std::int32_t);
+  }
+};
+
+/// Write one kk x cols row-major mantissa tile in the packed
+/// pair-interleaved order (PackedBfpMatrix::tile_elems() lanes at `dst`).
+void pack_tile(const std::int16_t* man, int kk, int cols, std::int16_t* dst);
+
+/// The packed layout of an already quantized matrix (same bits).
+PackedBfpMatrix pack_matrix(const BfpMatrix& m);
+
+/// Quantize straight into the packed layout: the same bits as
+/// pack_matrix(quantize_matrix(data, rows, cols, spec.fmt, spec.round))
+/// without the per-block intermediate.
+PackedBfpMatrix quantize_packed(std::span<const float> data, int rows,
+                                int cols, const QuantSpec& spec);
 
 /// Reference tiled matmul C = A * B over BfpMatrix operands, accumulating
 /// k-blocks through psu_accumulate (psu_bits carrier) and returning the

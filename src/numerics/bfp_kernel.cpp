@@ -24,11 +24,12 @@ namespace bfpsim {
 #if BFPSIM_KERNEL_AVX2
 namespace detail {
 // Implemented in bfp_kernel_avx2.cpp (compiled with -mavx2; only entered
-// after a runtime CPUID check).
+// after a runtime CPUID check), for T = int8_t and int16_t B lanes.
 bool avx2_runtime_supported();
-void tile_product_avx2(const std::int16_t* x, const std::int16_t* y,
-                       const std::int16_t* yt, int rows, int kk, int cols,
-                       std::int64_t* out);
+/// One tile product over a packed B tile (cols % 8 == 0, kk even).
+template <typename T>
+void tile_product_avx2(const std::int16_t* x, const T* yp, int rows, int kk,
+                       int cols, std::int64_t* out);
 /// Vectorized Eqn-3 merge: acc[i] = asr(acc[i], shift_acc) +
 /// asr(prod[i], shift_p), returning whether any sum escapes psu_bits.
 /// Precondition: shifts in [0, 62] (the caller falls back to the scalar
@@ -36,10 +37,11 @@ void tile_product_avx2(const std::int16_t* x, const std::int16_t* y,
 bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
                     std::size_t n, int shift_acc, int shift_p, int psu_bits);
 /// One 8x8x8 output tile's whole k-reduction in a 32-bit PSU carrier.
-/// `x` is the tile's row of A blocks; `yi`/`yexp` its column of B tiles,
-/// pair-interleaved (interleave_tile8) and contiguous in bk. Writes the
-/// tile's wide mantissas and exponent; returns the overflow flag.
-bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
+/// `x` is the tile's row of A blocks; `yp`/`yexp` its column of packed B
+/// tiles, contiguous in bk. Writes the tile's wide mantissas and exponent;
+/// returns the overflow flag.
+template <typename T>
+bool tile8_reduce_avx2(const BfpBlock* x, const T* yp,
                        const std::int32_t* yexp, int bks, std::int64_t* out,
                        std::int32_t* out_exp);
 }  // namespace detail
@@ -47,156 +49,157 @@ bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
 
 namespace {
 
-/// All kernels share one shape: out[i*cols + j] = sum_k x[i*kk + k] *
-/// y[k*cols + j], with `yt` the cols x kk transposed copy of y (null for
-/// tiers that read y row-major directly).
-using TileFn = void (*)(const std::int16_t* x, const std::int16_t* y,
-                        const std::int16_t* yt, int rows, int kk, int cols,
-                        std::int64_t* out);
+/// Every tier computes out[i*cols + j] = sum_k x[i*kk + k] * y[k][j] from
+/// a row-major A tile and a packed B tile `yp` (PackedBfpMatrix's
+/// pair-interleaved order: y[k][j] sits at lane (k/2)*2*cols + 2j + k%2).
+template <typename T>
+using TileFn = void (*)(const std::int16_t* x, const T* yp, int rows, int kk,
+                        int cols, std::int64_t* out);
 
-/// kScalar: the reference-shaped triple loop (row-major y, int64
-/// accumulator) on raw pointers — the pre-vectorization baseline.
-void tile_product_scalar(const std::int16_t* x, const std::int16_t* y,
-                         const std::int16_t* /*yt*/, int rows, int kk,
-                         int cols, std::int64_t* out) {
+/// kScalar: the reference-shaped triple loop (int64 accumulator, k
+/// innermost) on raw pointers — the pre-vectorization baseline.
+template <typename T>
+void tile_product_scalar(const std::int16_t* x, const T* yp, int rows,
+                         int kk, int cols, std::int64_t* out) {
   for (int i = 0; i < rows; ++i) {
     for (int j = 0; j < cols; ++j) {
       std::int64_t s = 0;
       for (int k = 0; k < kk; ++k) {
         s += static_cast<std::int64_t>(
                  x[static_cast<std::size_t>(i * kk + k)]) *
-             y[static_cast<std::size_t>(k * cols + j)];
+             yp[static_cast<std::size_t>((k / 2) * 2 * cols + 2 * j + k % 2)];
       }
       out[static_cast<std::size_t>(i * cols + j)] = s;
     }
   }
 }
 
-/// kBlocked, narrow formats: both dot operands walk contiguous memory
-/// (transposed y), products accumulate in int32 — exact because
-/// 2^(mbx+mby-2) * kk < 2^31 was proven before this kernel was selected —
-/// with a 4-wide strength-reduced inner loop.
-void tile_product_blocked_i32(const std::int16_t* x,
-                              const std::int16_t* /*y*/,
-                              const std::int16_t* yt, int rows, int kk,
-                              int cols, std::int64_t* out) {
-  const int k4 = kk & ~3;
+/// kBlocked: a strength-reduced vertical walk over the pair rows. Each x
+/// pair scales one pair row into a per-row accumulator array, so every
+/// inner loop runs over contiguous lanes. `Acc` is int32 when the format's
+/// mantissa width proves 2^(mbx+mby-2) * kk < 2^31 (pair sums included),
+/// else int64 (a 16-bit mantissa pair can overflow int32).
+template <typename T, typename Acc>
+void tile_product_blocked(const std::int16_t* x, const T* yp, int rows,
+                          int kk, int cols, std::int64_t* out) {
+  Acc acc[64];  // BfpFormat caps cols at 64
+  const auto width = static_cast<std::size_t>(cols);
   for (int i = 0; i < rows; ++i) {
     const std::int16_t* xr = x + static_cast<std::size_t>(i * kk);
-    std::int64_t* orow = out + static_cast<std::size_t>(i * cols);
-    for (int j = 0; j < cols; ++j) {
-      const std::int16_t* yr = yt + static_cast<std::size_t>(j * kk);
-      std::int32_t s0 = 0;
-      std::int32_t s1 = 0;
-      std::int32_t s2 = 0;
-      std::int32_t s3 = 0;
-      int k = 0;
-      for (; k < k4; k += 4) {
-        s0 += static_cast<std::int32_t>(xr[k]) * yr[k];
-        s1 += static_cast<std::int32_t>(xr[k + 1]) * yr[k + 1];
-        s2 += static_cast<std::int32_t>(xr[k + 2]) * yr[k + 2];
-        s3 += static_cast<std::int32_t>(xr[k + 3]) * yr[k + 3];
+    std::fill_n(acc, width, Acc{0});
+    for (int p = 0; p < (kk + 1) / 2; ++p) {
+      const Acc x0 = xr[2 * p];
+      const Acc x1 = 2 * p + 1 < kk ? Acc{xr[2 * p + 1]} : Acc{0};
+      const T* row = yp + static_cast<std::size_t>(p) * 2 * width;
+      for (std::size_t j = 0; j < width; ++j) {
+        acc[j] += x0 * row[2 * j] + x1 * row[2 * j + 1];
       }
-      std::int32_t s = (s0 + s1) + (s2 + s3);
-      for (; k < kk; ++k) {
-        s += static_cast<std::int32_t>(xr[k]) * yr[k];
-      }
-      orow[j] = s;
     }
-  }
-}
-
-/// kBlocked, wide formats: same blocking, int64 accumulation (a 16-bit
-/// mantissa pair can overflow int32 over a 64-deep reduction).
-void tile_product_blocked_i64(const std::int16_t* x,
-                              const std::int16_t* /*y*/,
-                              const std::int16_t* yt, int rows, int kk,
-                              int cols, std::int64_t* out) {
-  const int k4 = kk & ~3;
-  for (int i = 0; i < rows; ++i) {
-    const std::int16_t* xr = x + static_cast<std::size_t>(i * kk);
-    std::int64_t* orow = out + static_cast<std::size_t>(i * cols);
-    for (int j = 0; j < cols; ++j) {
-      const std::int16_t* yr = yt + static_cast<std::size_t>(j * kk);
-      std::int64_t s0 = 0;
-      std::int64_t s1 = 0;
-      int k = 0;
-      for (; k < k4; k += 4) {
-        s0 += static_cast<std::int64_t>(xr[k]) * yr[k] +
-              static_cast<std::int64_t>(xr[k + 1]) * yr[k + 1];
-        s1 += static_cast<std::int64_t>(xr[k + 2]) * yr[k + 2] +
-              static_cast<std::int64_t>(xr[k + 3]) * yr[k + 3];
-      }
-      std::int64_t s = s0 + s1;
-      for (; k < kk; ++k) {
-        s += static_cast<std::int64_t>(xr[k]) * yr[k];
-      }
-      orow[j] = s;
-    }
+    std::copy_n(acc, width, out + static_cast<std::size_t>(i) * width);
   }
 }
 
 #if defined(__SSE2__)
 
-/// Horizontal sum of the four int32 lanes.
-inline std::int32_t hsum_epi32(__m128i v) {
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(v);
+/// Eight packed B lanes starting at `y`, as int16.
+inline __m128i load8_epi16(const std::int8_t* y) {
+  const __m128i b = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(y));
+  return _mm_srai_epi16(_mm_unpacklo_epi8(b, b), 8);  // sign-extend
+}
+inline __m128i load8_epi16(const std::int16_t* y) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(y));
 }
 
-/// kSimd (SSE2): each dot product runs 8 mantissas per _mm_madd_epi16 —
-/// eight int16 x int16 products pair-summed into four int32 lanes, lanes
-/// accumulated across the k chunks, one horizontal reduce per output.
-/// Exact: pair sums and the lane accumulation stay under 2^31 by the
-/// int32-safety gate. Requires kk % 8 == 0 (checked at tier resolution).
-void tile_product_sse2(const std::int16_t* x, const std::int16_t* /*y*/,
-                       const std::int16_t* yt, int rows, int kk, int cols,
-                       std::int64_t* out) {
+/// kSimd (SSE2): vertical form over the pair rows. Each x pair is
+/// broadcast as one int32 and one _mm_madd_epi16 against four columns'
+/// pairs adds both k-levels to four int32 outputs. Exact: pair sums and
+/// the lane accumulation stay under 2^31 by the int32-safety gate. Column
+/// tails past a multiple of 4 run the same sums in scalar code. Requires
+/// kk % 8 == 0 (checked at tier resolution).
+template <typename T>
+void tile_product_sse2(const std::int16_t* x, const T* yp, int rows, int kk,
+                       int cols, std::int64_t* out) {
+  const auto width = static_cast<std::size_t>(cols);
+  const int c4 = cols & ~3;
   for (int i = 0; i < rows; ++i) {
     const std::int16_t* xr = x + static_cast<std::size_t>(i * kk);
-    std::int64_t* orow = out + static_cast<std::size_t>(i * cols);
-    for (int j = 0; j < cols; ++j) {
-      const std::int16_t* yr = yt + static_cast<std::size_t>(j * kk);
+    std::int64_t* orow = out + static_cast<std::size_t>(i) * width;
+    for (int j = 0; j < c4; j += 4) {
       __m128i acc = _mm_setzero_si128();
-      for (int k = 0; k < kk; k += 8) {
-        const __m128i xv =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xr + k));
-        const __m128i yv =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(yr + k));
-        acc = _mm_add_epi32(acc, _mm_madd_epi16(xv, yv));
+      for (int p = 0; p < kk / 2; ++p) {
+        const __m128i xp = _mm_set1_epi32(static_cast<std::int32_t>(
+            static_cast<std::uint16_t>(xr[2 * p]) |
+            (static_cast<std::uint32_t>(static_cast<std::uint16_t>(
+                 xr[2 * p + 1]))
+             << 16)));
+        const __m128i yv = load8_epi16(
+            yp + static_cast<std::size_t>(p) * 2 * width +
+            static_cast<std::size_t>(2 * j));
+        acc = _mm_add_epi32(acc, _mm_madd_epi16(xp, yv));
       }
-      orow[j] = hsum_epi32(acc);
+      alignas(16) std::int32_t lanes[4];
+      _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
+      for (int l = 0; l < 4; ++l) orow[j + l] = lanes[l];
+    }
+    for (int j = c4; j < cols; ++j) {
+      std::int32_t s = 0;
+      for (int p = 0; p < kk / 2; ++p) {
+        const T* pr = yp + static_cast<std::size_t>(p) * 2 * width;
+        s += xr[2 * p] * pr[2 * j] + xr[2 * p + 1] * pr[2 * j + 1];
+      }
+      orow[j] = s;
     }
   }
 }
 
 #elif defined(__ARM_NEON)
 
-/// kSimd (NEON): vmlal_s16 widening multiply-accumulate, 8 mantissas per
-/// step into four int32 lanes. Same int32-safety argument as SSE2.
-void tile_product_neon(const std::int16_t* x, const std::int16_t* /*y*/,
-                       const std::int16_t* yt, int rows, int kk, int cols,
-                       std::int64_t* out) {
+/// Eight columns' (even, odd) pair lanes starting at `y`, deinterleaved
+/// into the even-k and odd-k rows as int16.
+inline int16x8x2_t load_pairs(const std::int8_t* y) {
+  const int8x8x2_t b = vld2_s8(y);
+  return {{vmovl_s8(b.val[0]), vmovl_s8(b.val[1])}};
+}
+inline int16x8x2_t load_pairs(const std::int16_t* y) { return vld2q_s16(y); }
+
+/// kSimd (NEON): vertical form over the pair rows. vld2 splits eight
+/// columns' pairs into the even and odd k row, and vmlal_n_s16 widens each
+/// against its broadcast x mantissa into int32 lanes. Same int32-safety
+/// argument as SSE2; column tails past a multiple of 8 run in scalar code.
+template <typename T>
+void tile_product_neon(const std::int16_t* x, const T* yp, int rows, int kk,
+                       int cols, std::int64_t* out) {
+  const auto width = static_cast<std::size_t>(cols);
+  const int c8 = cols & ~7;
   for (int i = 0; i < rows; ++i) {
     const std::int16_t* xr = x + static_cast<std::size_t>(i * kk);
-    std::int64_t* orow = out + static_cast<std::size_t>(i * cols);
-    for (int j = 0; j < cols; ++j) {
-      const std::int16_t* yr = yt + static_cast<std::size_t>(j * kk);
-      int32x4_t acc = vdupq_n_s32(0);
-      for (int k = 0; k < kk; k += 8) {
-        const int16x8_t xv = vld1q_s16(xr + k);
-        const int16x8_t yv = vld1q_s16(yr + k);
-        acc = vmlal_s16(acc, vget_low_s16(xv), vget_low_s16(yv));
-        acc = vmlal_s16(acc, vget_high_s16(xv), vget_high_s16(yv));
+    std::int64_t* orow = out + static_cast<std::size_t>(i) * width;
+    for (int j = 0; j < c8; j += 8) {
+      int32x4_t lo = vdupq_n_s32(0);
+      int32x4_t hi = vdupq_n_s32(0);
+      for (int p = 0; p < kk / 2; ++p) {
+        const int16x8x2_t y = load_pairs(
+            yp + static_cast<std::size_t>(p) * 2 * width +
+            static_cast<std::size_t>(2 * j));
+        lo = vmlal_n_s16(lo, vget_low_s16(y.val[0]), xr[2 * p]);
+        hi = vmlal_n_s16(hi, vget_high_s16(y.val[0]), xr[2 * p]);
+        lo = vmlal_n_s16(lo, vget_low_s16(y.val[1]), xr[2 * p + 1]);
+        hi = vmlal_n_s16(hi, vget_high_s16(y.val[1]), xr[2 * p + 1]);
       }
-#if defined(__aarch64__)
-      orow[j] = vaddvq_s32(acc);
-#else
-      orow[j] = static_cast<std::int64_t>(vgetq_lane_s32(acc, 0)) +
-                vgetq_lane_s32(acc, 1) + vgetq_lane_s32(acc, 2) +
-                vgetq_lane_s32(acc, 3);
-#endif
+      for (int l = 0; l < 4; ++l) {
+        orow[j + l] = vgetq_lane_s32(lo, 0);
+        lo = vextq_s32(lo, lo, 1);
+        orow[j + 4 + l] = vgetq_lane_s32(hi, 0);
+        hi = vextq_s32(hi, hi, 1);
+      }
+    }
+    for (int j = c8; j < cols; ++j) {
+      std::int32_t s = 0;
+      for (int p = 0; p < kk / 2; ++p) {
+        const T* pr = yp + static_cast<std::size_t>(p) * 2 * width;
+        s += xr[2 * p] * pr[2 * j] + xr[2 * p + 1] * pr[2 * j + 1];
+      }
+      orow[j] = s;
     }
   }
 }
@@ -228,10 +231,11 @@ bool int32_safe(int mant_bits_sum, int kk) {
   return mant_bits_sum - 2 + lg <= 30;
 }
 
+enum class Impl { kScalar, kBlocked32, kBlocked64, kSimd128, kAvx2 };
+
 struct Resolved {
-  TileFn fn = tile_product_scalar;
-  bool transpose = false;
-  /// AVX2 + 8x8 Y tiles: the GEMM may use the int32 reduce kernel.
+  Impl impl = Impl::kScalar;
+  /// AVX2 + 8x8 tiles: the GEMM may use the int32 reduce kernel.
   bool tile8 = false;
   KernelTier effective = KernelTier::kScalar;
 };
@@ -246,60 +250,45 @@ Resolved resolve_kernel(int mant_bits_sum, int kk, int cols,
   const bool i32 = int32_safe(mant_bits_sum, kk);
   if (requested == KernelTier::kSimd && i32 && kk % 8 == 0 &&
       kernel_tier_available(KernelTier::kSimd)) {
+    r.effective = KernelTier::kSimd;
+    r.impl = Impl::kSimd128;
 #if BFPSIM_KERNEL_AVX2
-    if (avx2_usable()) {
-      r.fn = detail::tile_product_avx2;
-      // The 8x8 fast path is fully vertical over row-major Y.
-      r.transpose = !(kk == 8 && cols == 8);
-      r.tile8 = !r.transpose;
-      r.effective = KernelTier::kSimd;
-      return r;
+    if (avx2_usable() && cols % 8 == 0) {
+      r.impl = Impl::kAvx2;
+      r.tile8 = kk == 8 && cols == 8;
     }
 #endif
-#if defined(__SSE2__)
-    r.fn = tile_product_sse2;
-    r.transpose = true;
-    r.effective = KernelTier::kSimd;
     return r;
-#elif defined(__ARM_NEON)
-    r.fn = tile_product_neon;
-    r.transpose = true;
-    r.effective = KernelTier::kSimd;
-    return r;
-#endif
   }
-  r.fn = i32 ? tile_product_blocked_i32 : tile_product_blocked_i64;
-  r.transpose = true;
+  r.impl = i32 ? Impl::kBlocked32 : Impl::kBlocked64;
   r.effective = KernelTier::kBlocked;
   return r;
 }
 
-/// Transpose one kk x cols mantissa tile into cols x kk at `dst`.
-void transpose_tile(const std::int16_t* y, int kk, int cols,
-                    std::int16_t* dst) {
-  for (int k = 0; k < kk; ++k) {
-    for (int j = 0; j < cols; ++j) {
-      dst[static_cast<std::size_t>(j * kk + k)] =
-          y[static_cast<std::size_t>(k * cols + j)];
-    }
-  }
-}
-
-#if BFPSIM_KERNEL_AVX2
-/// Stage one 8x8 tile pair-interleaved for the AVX2 reduce kernel: row p of
-/// the 64-int16 output holds, per column j, the adjacent pair
-/// (y[2p][j], y[2p+1][j]) — the layout vpmaddwd consumes directly.
-void interleave_tile8(const std::int16_t* y, std::int16_t* dst) {
-  for (int p = 0; p < 4; ++p) {
-    for (int j = 0; j < 8; ++j) {
-      dst[static_cast<std::size_t>(p * 16 + 2 * j)] =
-          y[static_cast<std::size_t>(2 * p * 8 + j)];
-      dst[static_cast<std::size_t>(p * 16 + 2 * j + 1)] =
-          y[static_cast<std::size_t>((2 * p + 1) * 8 + j)];
-    }
-  }
-}
+template <typename T>
+TileFn<T> tile_fn(Impl impl) {
+  switch (impl) {
+    case Impl::kScalar: return tile_product_scalar<T>;
+    case Impl::kBlocked32: return tile_product_blocked<T, std::int32_t>;
+    case Impl::kBlocked64: return tile_product_blocked<T, std::int64_t>;
+    case Impl::kSimd128:
+#if defined(__SSE2__)
+      return tile_product_sse2<T>;
+#elif defined(__ARM_NEON)
+      return tile_product_neon<T>;
+#else
+      break;  // kernel_tier_available(kSimd) is false here
 #endif
+    case Impl::kAvx2:
+#if BFPSIM_KERNEL_AVX2
+      return detail::tile_product_avx2<T>;
+#else
+      break;
+#endif
+  }
+  BFP_ASSERT(false);
+  return tile_product_scalar<T>;
+}
 
 std::atomic<KernelTier>& active_tier_slot() {
   static std::atomic<KernelTier> tier{best_kernel_tier()};
@@ -375,17 +364,14 @@ void bfp_tile_product_into(const BfpBlock& x, const BfpBlock& y,
 
   const Resolved kr =
       resolve_kernel(x.fmt.mant_bits + y.fmt.mant_bits, kk, cols, tier);
-  if (!kr.transpose) {
-    kr.fn(x.man.data(), y.man.data(), nullptr, rows, kk, cols,
-          out.psu.data());
-    return;
-  }
   Arena& arena = scratch_arena();
   ArenaScope scope(&arena);
-  std::int16_t* yt = arena.alloc_array<std::int16_t>(
-      static_cast<std::size_t>(kk) * static_cast<std::size_t>(cols));
-  transpose_tile(y.man.data(), kk, cols, yt);
-  kr.fn(x.man.data(), y.man.data(), yt, rows, kk, cols, out.psu.data());
+  std::int16_t* yp = arena.alloc_array<std::int16_t>(
+      static_cast<std::size_t>((kk + 1) / 2) * 2 *
+      static_cast<std::size_t>(cols));
+  pack_tile(y.man.data(), kk, cols, yp);
+  tile_fn<std::int16_t>(kr.impl)(x.man.data(), yp, rows, kk, cols,
+                                 out.psu.data());
 }
 
 WideBlock bfp_tile_product(const BfpBlock& x, const BfpBlock& y,
@@ -395,15 +381,14 @@ WideBlock bfp_tile_product(const BfpBlock& x, const BfpBlock& y,
   return out;
 }
 
-std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
-                                     int logical_rows, int logical_cols,
-                                     int psu_bits, KernelTier tier,
-                                     ThreadPool* pool) {
-  BFP_REQUIRE(a.cols == b.rows, "bfp_gemm_dispatch: inner dims must match");
-  BFP_REQUIRE(logical_rows <= a.rows && logical_cols <= b.cols,
-              "bfp_gemm_dispatch: logical dims exceed padded dims");
-  BFP_REQUIRE(a.fmt.cols == b.fmt.rows,
-              "bfp_gemm_dispatch: block inner dimensions must match");
+namespace {
+
+/// The one GEMM walk, over a packed B operand whose mantissa lanes are T.
+template <typename T>
+std::vector<float> gemm_walk(const BfpMatrix& a, const PackedBfpMatrix& b,
+                             const T* plane, int logical_rows,
+                             int logical_cols, int psu_bits, KernelTier tier,
+                             ThreadPool* pool) {
   const int rows = a.fmt.rows;
   const int kk = a.fmt.cols;
   const int cols = b.fmt.cols;
@@ -414,8 +399,7 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
       static_cast<std::size_t>(brs) * static_cast<std::size_t>(bcs);
   const std::size_t tile_elems =
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
-  const std::size_t y_elems =
-      static_cast<std::size_t>(kk) * static_cast<std::size_t>(cols);
+  const std::size_t y_lanes = b.tile_elems();
   // Same contract as the reference: psu_accumulate checks its carrier
   // width on a tile's first real accumulation, which every tile reaches
   // exactly when there are two or more k-blocks.
@@ -426,6 +410,7 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
 
   const Resolved kr =
       resolve_kernel(a.fmt.mant_bits + b.fmt.mant_bits, kk, cols, tier);
+  const TileFn<T> fn = tile_fn<T>(kr.impl);
 #if BFPSIM_KERNEL_AVX2
   // The PSU merge is tier-independent datapath, but kScalar is kept
   // reference-shaped end to end so the bench baseline stays honest.
@@ -437,51 +422,13 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
   const bool reduce8 = kr.tile8 && rows == 8 && psu_bits == 32;
 #endif
 
-  // Stage Y tiles once, on the calling thread; workers only read them.
-  // Scratch-arena lifetime spans the parallel_for below.
-  Arena& arena = scratch_arena();
-  ArenaScope scope(&arena);
-  std::int16_t* yt_all = nullptr;
-  if (kr.transpose) {
-    yt_all = arena.alloc_array<std::int16_t>(
-        static_cast<std::size_t>(bks) * static_cast<std::size_t>(bcs) *
-        y_elems);
-    for (int bk = 0; bk < bks; ++bk) {
-      for (int bc = 0; bc < bcs; ++bc) {
-        transpose_tile(
-            b.block(bk, bc).man.data(), kk, cols,
-            yt_all + (static_cast<std::size_t>(bk * bcs + bc)) * y_elems);
-      }
-    }
-  }
-#if BFPSIM_KERNEL_AVX2
-  // For the reduce kernel: pair-interleaved, with each column of B tiles
-  // contiguous in bk, plus the tiles' exponents in the same order.
-  std::int16_t* yi_all = nullptr;
-  std::int32_t* yexp_all = nullptr;
-  if (reduce8) {
-    yi_all = arena.alloc_array<std::int16_t>(
-        static_cast<std::size_t>(bks) * static_cast<std::size_t>(bcs) *
-        y_elems);
-    yexp_all = arena.alloc_array<std::int32_t>(
-        static_cast<std::size_t>(bks) * static_cast<std::size_t>(bcs));
-    for (int bc = 0; bc < bcs; ++bc) {
-      for (int bk = 0; bk < bks; ++bk) {
-        const std::size_t idx = static_cast<std::size_t>(bc * bks + bk);
-        interleave_tile8(b.block(bk, bc).man.data(), yi_all + idx * y_elems);
-        yexp_all[idx] = b.block(bk, bc).expb;
-      }
-    }
-  }
-#endif
-
   std::vector<float> out(static_cast<std::size_t>(logical_rows) *
                          static_cast<std::size_t>(logical_cols));
   // One task per output tile, exactly like bfp_gemm_reference: tiles write
   // disjoint `out` regions, each tile's k-reduction runs in ascending bk
   // order with the same truncating PSU alignment and overflow contract.
   // The wide scratch is per-worker and reused across tiles (no per-product
-  // WideBlock churn).
+  // WideBlock churn). A tile's column of B tiles is contiguous in bk.
   auto compute_tile = [&](std::size_t tile) {
     thread_local std::vector<std::int64_t> acc_buf;
     thread_local std::vector<std::int64_t> prod_buf;
@@ -494,6 +441,9 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
 
     const int br = static_cast<int>(tile) / bcs;
     const int bc = static_cast<int>(tile) % bcs;
+    const std::size_t col = b.tile_index(0, bc);
+    const T* yp = plane + col * y_lanes;
+    const std::int32_t* yexp = b.expb.data() + col;
     std::int32_t acc_exp = 0;
     // The overflow test is folded to one flag per k-block (per tile in the
     // reduce kernel): which element or k-block overflowed is unobservable
@@ -502,24 +452,17 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
     bool overflow = false;
 #if BFPSIM_KERNEL_AVX2
     if (reduce8) {
-      const std::size_t col = static_cast<std::size_t>(bc * bks);
-      overflow = detail::tile8_reduce_avx2(&a.block(br, 0),
-                                           yi_all + col * y_elems,
-                                           yexp_all + col, bks, acc,
-                                           &acc_exp);
+      overflow = detail::tile8_reduce_avx2(&a.block(br, 0), yp, yexp, bks,
+                                           acc, &acc_exp);
     } else
 #endif
     {
       for (int bk = 0; bk < bks && !overflow; ++bk) {
         const BfpBlock& xb = a.block(br, bk);
-        const BfpBlock& yb = b.block(bk, bc);
-        const std::int16_t* yt =
-            kr.transpose ? yt_all + (static_cast<std::size_t>(bk * bcs + bc)) *
-                                        y_elems
-                         : nullptr;
-        const std::int32_t p_exp = xb.expb + yb.expb;
+        const T* ybk = yp + static_cast<std::size_t>(bk) * y_lanes;
+        const std::int32_t p_exp = xb.expb + yexp[bk];
         if (bk == 0) {
-          kr.fn(xb.man.data(), yb.man.data(), yt, rows, kk, cols, acc);
+          fn(xb.man.data(), ybk, rows, kk, cols, acc);
           acc_exp = p_exp;
           continue;
         }
@@ -528,7 +471,7 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
         const std::int32_t e = std::max(acc_exp, p_exp);
         const int shift_acc = static_cast<int>(e - acc_exp);
         const int shift_p = static_cast<int>(e - p_exp);
-        kr.fn(xb.man.data(), yb.man.data(), yt, rows, kk, cols, prod);
+        fn(xb.man.data(), ybk, rows, kk, cols, prod);
 #if BFPSIM_KERNEL_AVX2
         if (avx2_merge && shift_acc <= 62 && shift_p <= 62) {
           overflow = detail::psu_merge_avx2(acc, prod, tile_elems, shift_acc,
@@ -584,6 +527,32 @@ std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
     for (std::size_t t = 0; t < tiles; ++t) compute_tile(t);
   }
   return out;
+}
+
+}  // namespace
+
+std::vector<float> bfp_gemm_packed(const BfpMatrix& a,
+                                   const PackedBfpMatrix& b, int logical_rows,
+                                   int logical_cols, int psu_bits,
+                                   KernelTier tier, ThreadPool* pool) {
+  BFP_REQUIRE(a.cols == b.rows, "bfp_gemm_dispatch: inner dims must match");
+  BFP_REQUIRE(logical_rows <= a.rows && logical_cols <= b.cols,
+              "bfp_gemm_dispatch: logical dims exceed padded dims");
+  BFP_REQUIRE(a.fmt.cols == b.fmt.rows,
+              "bfp_gemm_dispatch: block inner dimensions must match");
+  return b.wide() ? gemm_walk(a, b, b.man16.data(), logical_rows,
+                              logical_cols, psu_bits, tier, pool)
+                  : gemm_walk(a, b, b.man8.data(), logical_rows,
+                              logical_cols, psu_bits, tier, pool);
+}
+
+std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
+                                     int logical_rows, int logical_cols,
+                                     int psu_bits, KernelTier tier,
+                                     ThreadPool* pool) {
+  BFP_REQUIRE(a.cols == b.rows, "bfp_gemm_dispatch: inner dims must match");
+  return bfp_gemm_packed(a, pack_matrix(b), logical_rows, logical_cols,
+                         psu_bits, tier, pool);
 }
 
 }  // namespace bfpsim

@@ -21,18 +21,26 @@
 // rejects is exactly an int32 wrap. Every other carrier width takes the
 // int64 product + merge route.
 //
+// Every tier reads B in one layout, the packed operand (PackedBfpMatrix:
+// pair-interleaved tiles, each column of tiles contiguous in bk, int8
+// lanes for mantissas up to 8 bits and int16 lanes above), widening lanes
+// on load. The GEMM has one k-walk, bfp_gemm_packed; the BfpMatrix entry
+// bfp_gemm_dispatch packs B and runs the same walk, and static weights are
+// packed once by their owner (transformer/model.hpp) instead.
+//
 // Tiers (runtime-dispatched; every tier present in every build):
 //   kScalar   the reference-shaped triple loop on raw pointers — the
 //             baseline the bench measures speedups against.
-//   kBlocked  strength-reduced blocked loop over a transposed Y tile with
-//             int32 accumulation where the format's mantissa width proves
-//             it cannot overflow (unroll-by-4 inner dot).
-//   kSimd     platform vectors on the same transposed layout:
-//             SSE2 _mm_madd_epi16 / AVX2 _mm256_madd_epi16 (pair-product
+//   kBlocked  strength-reduced vertical loop over B's pair rows with int32
+//             accumulation where the format's mantissa width proves it
+//             cannot overflow (int64 otherwise).
+//   kSimd     platform vectors on the same pair rows: SSE2
+//             _mm_madd_epi16 / AVX2 _mm256_madd_epi16 (pair-product
 //             accumulate, exact in int32 by the same width argument) or
-//             ARM NEON vmlal_s16. Compiled when __SSE2__/__AVX2__/
-//             __ARM_NEON are available; AVX2 additionally gated on a
-//             runtime CPUID check so one binary serves both CPU classes.
+//             ARM NEON vld2 + vmlal_n_s16. Compiled when __SSE2__/__AVX2__/
+//             __ARM_NEON are available; AVX2 (column counts that are a
+//             multiple of 8) additionally gated on a runtime CPUID check
+//             so one binary serves both CPU classes.
 //
 // A tier that cannot legally serve a format (mantissas too wide for the
 // int32 proof, or a block inner dimension the vector width cannot cover)
@@ -89,13 +97,19 @@ WideBlock bfp_tile_product(const BfpBlock& x, const BfpBlock& y,
 void bfp_tile_product_into(const BfpBlock& x, const BfpBlock& y,
                            KernelTier tier, WideBlock& out);
 
-/// Fused functional GEMM: same tiling, k-order, PSU alignment/truncation,
-/// overflow contract, and dequantization as bfp_gemm_reference — verified
-/// bit-identical for every tier, pool size, and shape — but with the tile
-/// products strength-reduced/vectorized, the per-k-block WideBlock churn
-/// replaced by per-worker reused scratch, and Y tiles staged once per call
-/// (transposed, or pair-interleaved for the int32 8x8 walk) through the
-/// thread-local scratch_arena().
+/// Fused functional GEMM over a packed B operand: same tiling, k-order,
+/// PSU alignment/truncation, overflow contract, and dequantization as
+/// bfp_gemm_reference — verified bit-identical for every tier, pool size,
+/// and shape — with the tile products strength-reduced/vectorized and the
+/// per-k-block WideBlock churn replaced by per-worker reused scratch. B is
+/// read in place: nothing is staged per call.
+std::vector<float> bfp_gemm_packed(const BfpMatrix& a,
+                                   const PackedBfpMatrix& b, int logical_rows,
+                                   int logical_cols, int psu_bits,
+                                   KernelTier tier,
+                                   ThreadPool* pool = nullptr);
+
+/// The same GEMM with a BfpMatrix B: packs it, then runs bfp_gemm_packed.
 std::vector<float> bfp_gemm_dispatch(const BfpMatrix& a, const BfpMatrix& b,
                                      int logical_rows, int logical_cols,
                                      int psu_bits, KernelTier tier,

@@ -4,17 +4,19 @@
 // avx2_runtime_supported() confirms the CPU actually has AVX2, so one binary
 // serves both CPU classes.
 //
-// Exactness: identical argument to the SSE2 kernel — _mm256_madd_epi16
-// pair-sums int16 products into int32 lanes, and the int32-safety gate
-// (checked before this kernel is ever selected) proves no pair sum or lane
-// accumulation can reach 2^31. The final horizontal reduce is plain integer
-// addition, so the result equals the scalar k-ordered sum bit-for-bit. The
-// 8x8 reduce kernel also keeps the PSU accumulator in int32 lanes; it is
-// only entered for the 32-bit carrier, where every accepted partial sum is
-// an int32 too.
+// B tiles arrive in the packed pair-interleaved layout (PackedBfpMatrix),
+// int8 or int16 lanes, and are widened to int16 on load.
+//
+// Exactness: _mm256_madd_epi16 pair-sums int16 products into int32 lanes,
+// and the int32-safety gate (checked before this kernel is ever selected)
+// proves no pair sum or lane accumulation can reach 2^31, so every output
+// equals the scalar k-ordered sum bit-for-bit. The 8x8 reduce kernel also
+// keeps the PSU accumulator in int32 lanes; it is only entered for the
+// 32-bit carrier, where every accepted partial sum is an int32 too.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "numerics/bfp.hpp"
@@ -38,121 +40,92 @@ bool avx2_runtime_supported() {
 
 namespace {
 
-/// Horizontal sum of the eight int32 lanes of a 256-bit vector.
-inline std::int32_t hsum_epi32_256(__m256i v) {
-  __m128i s =
-      _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
+/// Sixteen packed B lanes starting at `y` (eight columns' k pairs), as
+/// int16: int8 planes widen on load (vpmovsxbw).
+inline __m256i load16_epi16(const std::int8_t* y) {
+  return _mm256_cvtepi8_epi16(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(y)));
+}
+inline __m256i load16_epi16(const std::int16_t* y) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y));
 }
 
-/// Horizontal sum of the four int32 lanes of a 128-bit vector.
-inline std::int32_t hsum_epi32_128(__m128i v) {
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2)));
-  v = _mm_add_epi32(v, _mm_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(v);
+/// Load one packed 8x8 B tile: row p holds, per column j, the int16 pair
+/// (y[2p][j], y[2p+1][j]).
+template <typename T>
+inline void load_tile8(const T* yp, __m256i ypairs[4]) {
+  for (int p = 0; p < 4; ++p) {
+    ypairs[p] = load16_epi16(yp + static_cast<std::size_t>(p) * 16);
+  }
+}
+
+/// Row `xr` of an 8x8 tile product in int32: each x pair (x[2p], x[2p+1])
+/// is broadcast from registers and one vpmaddwd against pair row p adds
+/// both k-levels to all eight outputs at once.
+inline __m256i tile8_row(const std::int16_t* xr, const __m256i ypairs[4]) {
+  const __m256i xv = _mm256_broadcastsi128_si256(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(xr)));
+  __m256i s = _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x00), ypairs[0]);
+  s = _mm256_add_epi32(s, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x55),
+                                            ypairs[1]));
+  s = _mm256_add_epi32(s, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xAA),
+                                            ypairs[2]));
+  return _mm256_add_epi32(
+      s, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xFF), ypairs[3]));
+}
+
+/// Store eight int32 lanes widened to int64.
+inline void store_epi64x8(std::int64_t* out, __m256i v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_cvtepi32_epi64(_mm256_castsi256_si128(v)));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4),
+                      _mm256_cvtepi32_epi64(_mm256_extracti128_si256(v, 1)));
 }
 
 }  // namespace
 
-void tile_product_avx2(const std::int16_t* x, const std::int16_t* y,
-                       const std::int16_t* yt, int rows, int kk, int cols,
-                       std::int64_t* out);
-
-void tile_product_avx2(const std::int16_t* x, const std::int16_t* y,
-                       const std::int16_t* yt, int rows, int kk, int cols,
-                       std::int64_t* out) {
+/// One tile product over a packed B tile, vertical form: for each output
+/// row and each group of eight columns, every x pair is broadcast as one
+/// int32 and one vpmaddwd against the group's sixteen pair lanes adds both
+/// k-levels to eight int32 outputs. Needs cols % 8 == 0 and an even kk;
+/// 8x8 tiles keep all four pair rows in registers.
+template <typename T>
+void tile_product_avx2(const std::int16_t* x, const T* yp, int rows, int kk,
+                       int cols, std::int64_t* out) {
   if (kk == 8 && cols == 8) {
-    // bfp8's 8x8 tile, fully vertical: sign-extend the eight row-major Y
-    // rows to int32 once (they all fit in registers), then each output row
-    // is eight broadcast-multiply-accumulates — no horizontal sums, no
-    // transpose. Exact: every product and the 8-deep int32 accumulation
-    // are covered by the int32-safety gate.
-    __m256i yrow[8];
-    for (int k = 0; k < 8; ++k) {
-      yrow[k] = _mm256_cvtepi16_epi32(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(y + static_cast<std::size_t>(k) * 8)));
-    }
+    __m256i ypairs[4];
+    load_tile8(yp, ypairs);
     for (int i = 0; i < rows; ++i) {
-      // Broadcast each of the row's eight mantissas from registers: one
-      // 16->32 convert, two lane swizzles, then an in-lane shuffle per
-      // element (cheaper than eight memory set1 broadcasts).
-      const __m256i xr32 = _mm256_cvtepi16_epi32(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(x + static_cast<std::size_t>(i) * 8)));
-      const __m256i xlo = _mm256_permute2x128_si256(xr32, xr32, 0x00);
-      const __m256i xhi = _mm256_permute2x128_si256(xr32, xr32, 0x11);
-      __m256i acc = _mm256_mullo_epi32(_mm256_shuffle_epi32(xlo, 0x00), yrow[0]);
-      acc = _mm256_add_epi32(
-          acc, _mm256_mullo_epi32(_mm256_shuffle_epi32(xlo, 0x55), yrow[1]));
-      acc = _mm256_add_epi32(
-          acc, _mm256_mullo_epi32(_mm256_shuffle_epi32(xlo, 0xAA), yrow[2]));
-      acc = _mm256_add_epi32(
-          acc, _mm256_mullo_epi32(_mm256_shuffle_epi32(xlo, 0xFF), yrow[3]));
-      acc = _mm256_add_epi32(
-          acc, _mm256_mullo_epi32(_mm256_shuffle_epi32(xhi, 0x00), yrow[4]));
-      acc = _mm256_add_epi32(
-          acc, _mm256_mullo_epi32(_mm256_shuffle_epi32(xhi, 0x55), yrow[5]));
-      acc = _mm256_add_epi32(
-          acc, _mm256_mullo_epi32(_mm256_shuffle_epi32(xhi, 0xAA), yrow[6]));
-      acc = _mm256_add_epi32(
-          acc, _mm256_mullo_epi32(_mm256_shuffle_epi32(xhi, 0xFF), yrow[7]));
-      std::int64_t* orow = out + static_cast<std::size_t>(i) * 8;
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(orow),
-          _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc)));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(orow + 4),
-          _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc, 1)));
+      store_epi64x8(out + static_cast<std::size_t>(i) * 8,
+                    tile8_row(x + static_cast<std::size_t>(i) * 8, ypairs));
     }
     return;
   }
-  if (kk == 8 && cols % 2 == 0) {
-    // bfp8's 8x8 tile: one row of x is exactly one 128-bit load. Broadcast
-    // it to both 256-bit lanes and multiply against *two* transposed Y
-    // columns per madd — lane 0 reduces to dot(i,j), lane 1 to dot(i,j+1).
-    for (int i = 0; i < rows; ++i) {
-      const __m128i xr = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-          x + static_cast<std::size_t>(i * kk)));
-      const __m256i xv = _mm256_broadcastsi128_si256(xr);
-      std::int64_t* orow = out + static_cast<std::size_t>(i * cols);
-      for (int j = 0; j < cols; j += 2) {
-        const __m256i yv = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-            yt + static_cast<std::size_t>(j * kk)));
-        const __m256i p = _mm256_madd_epi16(xv, yv);
-        orow[j] = hsum_epi32_128(_mm256_castsi256_si128(p));
-        orow[j + 1] = hsum_epi32_128(_mm256_extracti128_si256(p, 1));
-      }
-    }
-    return;
-  }
-  const int k16 = kk & ~15;
+  const auto width = static_cast<std::size_t>(cols);
   for (int i = 0; i < rows; ++i) {
     const std::int16_t* xr = x + static_cast<std::size_t>(i * kk);
-    std::int64_t* orow = out + static_cast<std::size_t>(i * cols);
-    for (int j = 0; j < cols; ++j) {
-      const std::int16_t* yr = yt + static_cast<std::size_t>(j * kk);
+    for (std::size_t j = 0; j < width; j += 8) {
       __m256i acc = _mm256_setzero_si256();
-      int k = 0;
-      for (; k < k16; k += 16) {
-        const __m256i xv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(xr + k));
-        const __m256i yv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(yr + k));
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xv, yv));
+      for (int p = 0; p < kk / 2; ++p) {
+        std::int32_t pair = 0;
+        std::memcpy(&pair, xr + 2 * p, sizeof pair);
+        acc = _mm256_add_epi32(
+            acc, _mm256_madd_epi16(
+                     _mm256_set1_epi32(pair),
+                     load16_epi16(yp + static_cast<std::size_t>(p) * 2 * width +
+                                  2 * j)));
       }
-      std::int32_t s = hsum_epi32_256(acc);
-      for (; k < kk; k += 8) {
-        const __m128i xv =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(xr + k));
-        const __m128i yv =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(yr + k));
-        s += hsum_epi32_128(_mm_madd_epi16(xv, yv));
-      }
-      orow[j] = s;
+      store_epi64x8(out + static_cast<std::size_t>(i) * width + j, acc);
     }
   }
 }
+
+template void tile_product_avx2<std::int8_t>(const std::int16_t*,
+                                             const std::int8_t*, int, int,
+                                             int, std::int64_t*);
+template void tile_product_avx2<std::int16_t>(const std::int16_t*,
+                                              const std::int16_t*, int, int,
+                                              int, std::int64_t*);
 
 namespace {
 
@@ -164,55 +137,28 @@ inline __m256i asr_epi64(__m256i v, int s, __m256i m) {
   return _mm256_sub_epi64(_mm256_xor_si256(u, m), m);
 }
 
-/// Load one staged 8x8 Y tile: row p holds, per column j, the int16 pair
-/// (y[2p][j], y[2p+1][j]) (see interleave_tile8 in bfp_kernel.cpp).
-inline void load_tile8(const std::int16_t* yi, __m256i yp[4]) {
-  for (int p = 0; p < 4; ++p) {
-    yp[p] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-        yi + static_cast<std::size_t>(p) * 16));
-  }
-}
-
-/// Row `xr` of an 8x8 tile product in int32: each x pair (x[2p], x[2p+1])
-/// is broadcast from registers and one vpmaddwd against staged row p adds
-/// both k-levels to all eight outputs at once.
-inline __m256i tile8_row(const std::int16_t* xr, const __m256i yp[4]) {
-  const __m256i xv = _mm256_broadcastsi128_si256(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(xr)));
-  __m256i s = _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x00), yp[0]);
-  s = _mm256_add_epi32(s, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0x55),
-                                            yp[1]));
-  s = _mm256_add_epi32(s, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xAA),
-                                            yp[2]));
-  return _mm256_add_epi32(
-      s, _mm256_madd_epi16(_mm256_shuffle_epi32(xv, 0xFF), yp[3]));
-}
-
 }  // namespace
-
-bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
-                       const std::int32_t* yexp, int bks, std::int64_t* out,
-                       std::int32_t* out_exp);
 
 /// One 8x8 output tile's whole k-reduction (Eqn 2 products, Eqn 3
 /// merges) with a 32-bit PSU carrier held in eight int32 registers. `x` is
-/// the tile's row of A blocks; `yi`/`yexp` are the tile's column of B
-/// blocks, staged pair-interleaved and contiguous in bk. Exact because
-/// every accepted partial sum is an int32 and the int32-safety gate bounds
-/// every product by 2^29, so both shifted addends are int32 and their sum
-/// leaves the 32-bit carrier iff the int32 add wraps (both addends share a
-/// sign the sum lacks). Returns the overflow flag for the whole tile:
-/// which k-block overflowed is unobservable, and after a wrap the lanes
-/// only hold garbage the caller discards by throwing.
-bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
+/// the tile's row of A blocks; `yp`/`yexp` are the tile's column of packed
+/// B tiles, contiguous in bk. Exact because every accepted partial sum is
+/// an int32 and the int32-safety gate bounds every product by 2^29, so
+/// both shifted addends are int32 and their sum leaves the 32-bit carrier
+/// iff the int32 add wraps (both addends share a sign the sum lacks).
+/// Returns the overflow flag for the whole tile: which k-block overflowed
+/// is unobservable, and after a wrap the lanes only hold garbage the
+/// caller discards by throwing.
+template <typename T>
+bool tile8_reduce_avx2(const BfpBlock* x, const T* yp,
                        const std::int32_t* yexp, int bks, std::int64_t* out,
                        std::int32_t* out_exp) {
-  __m256i yp[4];
+  __m256i ypairs[4];
   __m256i acc[8];
-  load_tile8(yi, yp);
+  load_tile8(yp, ypairs);
   const std::int16_t* xm = x[0].man.data();
   for (int i = 0; i < 8; ++i) {
-    acc[i] = tile8_row(xm + static_cast<std::size_t>(i) * 8, yp);
+    acc[i] = tile8_row(xm + static_cast<std::size_t>(i) * 8, ypairs);
   }
   std::int32_t acc_exp = x[0].expb + yexp[0];
   __m256i bad = _mm256_setzero_si256();
@@ -224,12 +170,12 @@ bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
     const std::int32_t e = std::max(acc_exp, p_exp);
     const __m128i shift_acc = _mm_cvtsi32_si128(e - acc_exp);
     const __m128i shift_p = _mm_cvtsi32_si128(e - p_exp);
-    load_tile8(yi + static_cast<std::size_t>(bk) * 64, yp);
+    load_tile8(yp + static_cast<std::size_t>(bk) * 64, ypairs);
     xm = x[bk].man.data();
     for (int i = 0; i < 8; ++i) {
       const __m256i a = _mm256_sra_epi32(acc[i], shift_acc);
       const __m256i p = _mm256_sra_epi32(
-          tile8_row(xm + static_cast<std::size_t>(i) * 8, yp), shift_p);
+          tile8_row(xm + static_cast<std::size_t>(i) * 8, ypairs), shift_p);
       const __m256i s = _mm256_add_epi32(a, p);
       bad = _mm256_or_si256(bad, _mm256_and_si256(_mm256_xor_si256(a, s),
                                                   _mm256_xor_si256(p, s)));
@@ -238,12 +184,7 @@ bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
     acc_exp = e;
   }
   for (int i = 0; i < 8; ++i) {
-    std::int64_t* orow = out + static_cast<std::size_t>(i) * 8;
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(orow),
-                        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(acc[i])));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(orow + 4),
-        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(acc[i], 1)));
+    store_epi64x8(out + static_cast<std::size_t>(i) * 8, acc[i]);
   }
   *out_exp = acc_exp;
   // Only the sign bit of each lane's wrap test is meaningful.
@@ -251,6 +192,15 @@ bool tile8_reduce_avx2(const BfpBlock* x, const std::int16_t* yi,
       _mm256_set1_epi32(std::numeric_limits<std::int32_t>::min());
   return _mm256_testz_si256(bad, sign) == 0;
 }
+
+template bool tile8_reduce_avx2<std::int8_t>(const BfpBlock*,
+                                             const std::int8_t*,
+                                             const std::int32_t*, int,
+                                             std::int64_t*, std::int32_t*);
+template bool tile8_reduce_avx2<std::int16_t>(const BfpBlock*,
+                                              const std::int16_t*,
+                                              const std::int32_t*, int,
+                                              std::int64_t*, std::int32_t*);
 
 bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
                     std::size_t n, int shift_acc, int shift_p, int psu_bits);
@@ -297,13 +247,28 @@ bool psu_merge_avx2(std::int64_t* acc, const std::int64_t* prod,
 // Registered but never selected: avx2_runtime_supported() returns false, so
 // these bodies are unreachable. They exist so the symbols resolve when the
 // toolchain accepted -mavx2 at configure time but the macro test failed.
-void tile_product_avx2(const std::int16_t*, const std::int16_t*,
-                       const std::int16_t*, int, int, int, std::int64_t*) {}
-bool tile8_reduce_avx2(const BfpBlock*, const std::int16_t*,
-                       const std::int32_t*, int, std::int64_t*,
-                       std::int32_t*) {
+template <typename T>
+void tile_product_avx2(const std::int16_t*, const T*, int, int, int,
+                       std::int64_t*) {}
+template void tile_product_avx2<std::int8_t>(const std::int16_t*,
+                                             const std::int8_t*, int, int,
+                                             int, std::int64_t*);
+template void tile_product_avx2<std::int16_t>(const std::int16_t*,
+                                              const std::int16_t*, int, int,
+                                              int, std::int64_t*);
+template <typename T>
+bool tile8_reduce_avx2(const BfpBlock*, const T*, const std::int32_t*, int,
+                       std::int64_t*, std::int32_t*) {
   return false;
 }
+template bool tile8_reduce_avx2<std::int8_t>(const BfpBlock*,
+                                             const std::int8_t*,
+                                             const std::int32_t*, int,
+                                             std::int64_t*, std::int32_t*);
+template bool tile8_reduce_avx2<std::int16_t>(const BfpBlock*,
+                                              const std::int16_t*,
+                                              const std::int32_t*, int,
+                                              std::int64_t*, std::int32_t*);
 bool psu_merge_avx2(std::int64_t*, const std::int64_t*, std::size_t, int,
                     int, int) {
   return false;

@@ -170,15 +170,33 @@ GemmRun ProcessingUnit::gemm_bfp8_fast(std::span<const float> a, int m, int k,
                                        ThreadPool* pool) const {
   BFP_REQUIRE(m > 0 && k > 0 && n > 0,
               "gemm_bfp8_fast: dims must be positive");
-  const BfpFormat fmt = pu_format(cfg_);
-  const BfpMatrix am = quantize_matrix(a, m, k, fmt, cfg_.quant_round);
-  const BfpMatrix bm = quantize_matrix(b, k, n, fmt, cfg_.quant_round);
+  return gemm_bfp8_packed(a, m, k, quantize_packed(b, k, n, operand_spec()),
+                          n, pool);
+}
+
+GemmRun ProcessingUnit::gemm_bfp8_packed(std::span<const float> a, int m,
+                                         int k, const PackedBfpMatrix& b,
+                                         int n, ThreadPool* pool) const {
+  BFP_REQUIRE(m > 0 && k > 0 && n > 0,
+              "gemm_bfp8_packed: dims must be positive");
+  const QuantSpec spec = operand_spec();
+  BFP_REQUIRE(b.fmt == spec.fmt && b.rows == (k + spec.fmt.rows - 1) /
+                                                 spec.fmt.rows *
+                                                 spec.fmt.rows &&
+                  n <= b.cols,
+              "gemm_bfp8_packed: packed B must hold this PU's format and "
+              "k x n (padded)");
+  const BfpMatrix am = quantize_matrix(a, m, k, spec.fmt, spec.round);
   GemmRun out;
-  out.c = bfp_gemm_dispatch(am, bm, m, n, cfg_.psu_bits, active_kernel_tier(),
-                            pool);
+  out.c = bfp_gemm_packed(am, b, m, n, cfg_.psu_bits, active_kernel_tier(),
+                          pool);
   out.macs = static_cast<std::uint64_t>(m) * k * n;
   out.compute_cycles = gemm_cycles(cfg_, m, k, n);
   return out;
+}
+
+QuantSpec ProcessingUnit::operand_spec() const {
+  return {pu_format(cfg_), cfg_.quant_round};
 }
 
 VecRun ProcessingUnit::fp32_mul_stream(std::span<const float> x,

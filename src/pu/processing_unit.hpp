@@ -91,6 +91,19 @@ class ProcessingUnit {
                          std::span<const float> b, int n,
                          ThreadPool* pool = nullptr) const;
 
+  /// Same GEMM with B already quantized and packed (a static weight packed
+  /// once by its owner). `b` must hold operand_spec()'s format and k rows
+  /// (padded to blocks); n <= b.cols. Bit-identical to the float-B
+  /// overload on the weights `b` was quantized from with operand_spec() —
+  /// that overload is exactly "quantize_packed(B), then this".
+  GemmRun gemm_bfp8_packed(std::span<const float> a, int m, int k,
+                           const PackedBfpMatrix& b, int n,
+                           ThreadPool* pool = nullptr) const;
+
+  /// How this PU quantizes GEMM operands: the array's block format with
+  /// the configured mode's mantissa/exponent widths, and quant_round.
+  QuantSpec operand_spec() const;
+
   /// ---- fp32 vector modes ----
 
   /// Elementwise multiply: out[i] = x[i] * y[i], streamed across the 4

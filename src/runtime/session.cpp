@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
@@ -14,23 +13,16 @@ namespace bfpsim {
 Session::Session(const SystemConfig& cfg)
     : cfg_(cfg), system_(cfg), memory_() {}
 
-namespace {
-
-/// Serialize a quantized matrix to its device image.
-std::vector<std::uint8_t> to_image(const BfpMatrix& m) {
-  std::ostringstream os;
-  save_bfp_matrix(os, m);
-  const std::string s = os.str();
-  return {s.begin(), s.end()};
-}
-
-}  // namespace
-
 ModelId Session::deploy(const VitWeights& weights, const std::string& name) {
   weights.cfg.validate();
-  const BfpFormat fmt = bfp8_format();
+  const QuantSpec image_spec{bfp8_format(), RoundMode::kNearestEven};
   const int d = weights.cfg.embed_dim;
   const int m = weights.cfg.mlp_hidden();
+  // When this session's GEMMs quantize weights exactly as the device image
+  // does, each weight is quantized once for both: the image and the
+  // model's packed operand come from the same BfpMatrix. Otherwise the
+  // model packs under its own spec on the first bfp8 forward.
+  const bool share_quantize = system_.packed_spec() == image_spec;
 
   Deployed dep{true, VitModel(weights), DeploymentInfo{}, {}};
   dep.info.id = static_cast<ModelId>(models_.size());
@@ -39,14 +31,21 @@ ModelId Session::deploy(const VitWeights& weights, const std::string& name) {
   std::uint64_t fp32_weight_bytes = 0;
   auto upload_matrix = [&](const std::vector<float>& w, int rows,
                            int cols) {
-    const BfpMatrix q = quantize_matrix(w, rows, cols, fmt);
-    const std::vector<std::uint8_t> image = to_image(q);
+    BfpMatrix q = quantize_matrix(w, rows, cols, image_spec.fmt,
+                                  image_spec.round);
+    const std::vector<std::uint8_t> image = bfp_matrix_bytes(q);
     const DeviceBuffer buf = memory_.alloc(image.size());
     const std::uint64_t cycles = memory_.write(buf, 0, image);
     dep.buffers.push_back(buf);
     dep.info.quantized_weight_bytes += image.size();
     dep.info.upload_cycles += cycles;
     fp32_weight_bytes += w.size() * sizeof(float);
+    return q;
+  };
+  auto upload_weight = [&](const std::vector<float>& w, int rows, int cols,
+                           PackedBfpMatrix& packed) {
+    const BfpMatrix q = upload_matrix(w, rows, cols);
+    if (share_quantize) packed = pack_matrix(q);
   };
   auto upload_params = [&](const std::vector<float>& p) {
     const std::size_t bytes = p.size() * sizeof(float);
@@ -58,11 +57,15 @@ ModelId Session::deploy(const VitWeights& weights, const std::string& name) {
     dep.info.fp32_param_bytes += bytes;
   };
 
-  for (const BlockWeights& b : weights.blocks) {
-    upload_matrix(b.qkv_w, d, 3 * d);
-    upload_matrix(b.proj_w, d, d);
-    upload_matrix(b.fc1_w, d, m);
-    upload_matrix(b.fc2_w, m, d);
+  std::vector<PackedBlock> packed(share_quantize ? weights.blocks.size() : 0);
+  for (std::size_t i = 0; i < weights.blocks.size(); ++i) {
+    const BlockWeights& b = weights.blocks[i];
+    PackedBlock unused;
+    PackedBlock& p = share_quantize ? packed[i] : unused;
+    upload_weight(b.qkv_w, d, 3 * d, p.qkv_w);
+    upload_weight(b.proj_w, d, d, p.proj_w);
+    upload_weight(b.fc1_w, d, m, p.fc1_w);
+    upload_weight(b.fc2_w, m, d, p.fc2_w);
     upload_params(b.qkv_b);
     upload_params(b.proj_b);
     upload_params(b.fc1_b);
@@ -76,6 +79,7 @@ ModelId Session::deploy(const VitWeights& weights, const std::string& name) {
   upload_params(weights.head_beta);
   upload_matrix(weights.head_w, d, weights.cfg.num_classes);
   upload_params(weights.head_b);
+  if (share_quantize) dep.model.adopt_packed(image_spec, std::move(packed));
 
   dep.info.compression_ratio =
       static_cast<double>(fp32_weight_bytes) /
@@ -267,9 +271,9 @@ Session::FleetServeResult Session::serve_fleet(ModelId model,
   };
 
   // ---- phase 1: class-0 per-request forwards (cluster_forwards, the
-  // phase the free serve_cluster runs) ----
-  const ClusterExecutor exec0(dep.model.weights(),
-                              make_topology(spec.classes[0].cards),
+  // phase the free serve_cluster runs). Executors borrow the deployed
+  // model's blocks and packed weights. ----
+  const ClusterExecutor exec0(dep.model, make_topology(spec.classes[0].cards),
                               spec.classes[0].strategy);
   ClusterForwards fwd = cluster_forwards(exec0, trace, pool);
 
@@ -291,7 +295,7 @@ Session::FleetServeResult Session::serve_fleet(ModelId model,
     if (c == 0) {
       cls.passes = fwd.passes;
     } else {
-      const ClusterExecutor exec(dep.model.weights(), make_topology(fc.cards),
+      const ClusterExecutor exec(dep.model, make_topology(fc.cards),
                                  fc.strategy);
       ClusterStats probe;
       exec.forward(random_embeddings(dep.model.config(), trace.seed), &probe,

@@ -12,9 +12,13 @@
 //      a cycle budget covering both compute and data movement.
 //
 // Numerics note: the forward path quantizes activations per call and
-// weights deterministically, so results are bit-identical to streaming the
-// resident quantized blocks (quantization is a pure function of the fp32
-// weights; the resident copy exists for footprint and upload accounting).
+// streams the weights from the model's packed operands, which deploy
+// builds from the same quantization as the device image when the
+// session's PU quantizes as the image does (bfp8, round-to-nearest-even);
+// otherwise the model packs under the PU's spec on its first forward.
+// Quantization is a pure function of the fp32 weights, so results are
+// bit-identical either way; the device image exists for footprint and
+// upload accounting.
 #pragma once
 
 #include <cstdint>

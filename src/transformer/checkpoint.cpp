@@ -111,32 +111,46 @@ VitWeights load_weights_file(const std::string& path) {
   return load_weights(is);
 }
 
-void save_bfp_matrix(std::ostream& os, const BfpMatrix& m) {
+std::vector<std::uint8_t> bfp_matrix_bytes(const BfpMatrix& m) {
   m.fmt.validate();
-  put_u32(os, kMatrixMagic);
-  put_u32(os, kVersion);
-  put_i32(os, m.fmt.mant_bits);
-  put_i32(os, m.fmt.exp_bits);
-  put_i32(os, m.fmt.rows);
-  put_i32(os, m.fmt.cols);
-  put_u32(os, m.fmt.symmetric ? 1 : 0);
-  put_i32(os, m.rows);
-  put_i32(os, m.cols);
+  // Mantissas ship as the same 8-bit two's-complement bytes the operand
+  // buffers hold (wider formats use 2 bytes, little-endian), each block
+  // after its 32-bit exponent; every field is little-endian.
+  const std::size_t mant_bytes = m.fmt.mant_bits <= 8 ? 1 : 2;
+  const std::size_t block_bytes =
+      4 + static_cast<std::size_t>(m.fmt.elements()) * mant_bytes;
+  std::vector<std::uint8_t> out;
+  out.reserve(9 * 4 + m.blocks.size() * block_bytes);
+  auto put = [&](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+    }
+  };
+  put(kMatrixMagic);
+  put(kVersion);
+  put(static_cast<std::uint32_t>(m.fmt.mant_bits));
+  put(static_cast<std::uint32_t>(m.fmt.exp_bits));
+  put(static_cast<std::uint32_t>(m.fmt.rows));
+  put(static_cast<std::uint32_t>(m.fmt.cols));
+  put(m.fmt.symmetric ? 1 : 0);
+  put(static_cast<std::uint32_t>(m.rows));
+  put(static_cast<std::uint32_t>(m.cols));
   for (const BfpBlock& b : m.blocks) {
-    put_i32(os, b.expb);
-    // Mantissas ship as the same 8-bit two's-complement bytes the operand
-    // buffers hold (wider formats use 2 bytes).
-    for (std::int16_t v : b.man) {
-      if (m.fmt.mant_bits <= 8) {
-        const char byte = static_cast<char>(v & 0xFF);
-        os.write(&byte, 1);
-      } else {
-        const char bytes[2] = {static_cast<char>(v & 0xFF),
-                               static_cast<char>((v >> 8) & 0xFF)};
-        os.write(bytes, 2);
+    put(static_cast<std::uint32_t>(b.expb));
+    for (const std::int16_t v : b.man) {
+      out.push_back(static_cast<std::uint8_t>(v & 0xFF));
+      if (mant_bytes == 2) {
+        out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
       }
     }
   }
+  return out;
+}
+
+void save_bfp_matrix(std::ostream& os, const BfpMatrix& m) {
+  const std::vector<std::uint8_t> bytes = bfp_matrix_bytes(m);
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
   BFP_REQUIRE(os.good(), "save_bfp_matrix: write failure");
 }
 

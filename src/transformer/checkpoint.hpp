@@ -9,8 +9,10 @@
 // any corruption rather than constructing garbage.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "numerics/bfp.hpp"
 #include "transformer/model.hpp"
@@ -28,6 +30,9 @@ VitWeights load_weights_file(const std::string& path);
 /// ---- quantized tensor export ----
 
 void save_bfp_matrix(std::ostream& os, const BfpMatrix& m);
+/// The bytes save_bfp_matrix writes, serialized straight into one buffer
+/// (the device image Session::deploy uploads).
+std::vector<std::uint8_t> bfp_matrix_bytes(const BfpMatrix& m);
 BfpMatrix load_bfp_matrix(std::istream& is);
 
 /// Size in bytes of the serialized bfp image (65 bytes per 8x8 block plus

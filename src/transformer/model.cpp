@@ -155,6 +155,74 @@ std::vector<float> random_embeddings(const VitConfig& cfg,
   return x;
 }
 
+PackedBlock pack_block(const VitConfig& cfg, const BlockWeights& b,
+                       const QuantSpec& spec) {
+  const int d = cfg.embed_dim;
+  const int m = cfg.mlp_hidden();
+  auto pack = [&](const std::vector<float>& w, int rows) {
+    return quantize_packed(w, rows, static_cast<int>(w.size()) / rows, spec);
+  };
+  return {pack(b.qkv_w, d), pack(b.proj_w, d), pack(b.fc1_w, d),
+          pack(b.fc2_w, m)};
+}
+
+PackedWeightCache& PackedWeightCache::operator=(
+    const PackedWeightCache& other) {
+  if (this != &other) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    entries_.clear();
+  }
+  return *this;
+}
+
+PackedWeightCache::PackedWeightCache(PackedWeightCache&& other) noexcept {
+  const std::lock_guard<std::mutex> lock(other.mu_);
+  entries_ = std::move(other.entries_);
+}
+
+PackedWeightCache& PackedWeightCache::operator=(
+    PackedWeightCache&& other) noexcept {
+  if (this != &other) {
+    const std::scoped_lock lock(mu_, other.mu_);
+    entries_ = std::move(other.entries_);
+  }
+  return *this;
+}
+
+std::span<const PackedBlock> PackedWeightCache::get(
+    const VitConfig& cfg, std::span<const BlockWeights> blocks,
+    const QuantSpec& spec) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const Entry& e : entries_) {
+    if (e.spec == spec) return e.blocks;
+  }
+  Entry& e = entries_.emplace_back();
+  e.spec = spec;
+  e.blocks.reserve(blocks.size());
+  for (const BlockWeights& b : blocks) {
+    e.blocks.push_back(pack_block(cfg, b, spec));
+  }
+  return e.blocks;
+}
+
+void PackedWeightCache::adopt(const QuantSpec& spec,
+                              std::vector<PackedBlock> packed) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const Entry& e : entries_) {
+    if (e.spec == spec) return;
+  }
+  entries_.push_back({spec, std::move(packed)});
+}
+
+std::size_t PackedWeightCache::bytes() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  std::size_t total = 0;
+  for (const Entry& e : entries_) {
+    for (const PackedBlock& b : e.blocks) total += b.bytes();
+  }
+  return total;
+}
+
 VitModel::VitModel(VitWeights weights) : w_(std::move(weights)) {
   w_.cfg.validate();
   BFP_REQUIRE(w_.blocks.size() == static_cast<std::size_t>(w_.cfg.depth),
@@ -234,27 +302,20 @@ void add_bias_mixed(std::vector<float>& x, int rows, int cols,
   stats.vector_cycles += sys.vector_latency(0, n).cycles;
 }
 
+/// One GEMM of the mixed forward. Static weights pass their packed
+/// operand (`packed`, null when none is held); activation x activation
+/// products pass only `b`.
 std::vector<float> gemm_mixed(const AcceleratorSystem& sys,
                               const std::vector<float>& a, int m, int k,
                               const std::vector<float>& b, int n,
-                              ForwardStats& stats, bool bfp8) {
+                              ForwardStats& stats, bool bfp8,
+                              const PackedBfpMatrix* packed = nullptr) {
   if (!bfp8) {
     // Policy keeps this layer group in fp32: exact matmul, no bfp stats.
-    std::vector<float> c(static_cast<std::size_t>(m) *
-                         static_cast<std::size_t>(n));
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n; ++j) {
-        double acc = 0.0;
-        for (int x = 0; x < k; ++x) {
-          acc += static_cast<double>(a[static_cast<std::size_t>(i) * k + x]) *
-                 b[static_cast<std::size_t>(x) * n + j];
-        }
-        c[static_cast<std::size_t>(i) * n + j] = static_cast<float>(acc);
-      }
-    }
-    return c;
+    return matmul_ref(a, m, k, b, n);
   }
-  GemmRun run = sys.gemm(a, m, k, b, n);
+  GemmRun run = packed != nullptr ? sys.gemm_packed(a, m, k, *packed, n)
+                                  : sys.gemm(a, m, k, b, n);
   stats.bfp_macs += run.macs;
   stats.linear_cycles += run.compute_cycles;
   return std::move(run.c);
@@ -263,8 +324,7 @@ std::vector<float> gemm_mixed(const AcceleratorSystem& sys,
 }  // namespace
 
 std::vector<float> forward_column_shards(
-    const VitConfig& cfg,
-    std::span<const std::span<const BlockWeights>> shards,
+    const VitConfig& cfg, std::span<const ShardWeights> shards,
     std::vector<float> x, const AcceleratorSystem& system,
     std::span<ForwardStats> card_stats, const PrecisionPolicy& policy) {
   const auto cards = static_cast<int>(shards.size());
@@ -277,9 +337,12 @@ std::vector<float> forward_column_shards(
               "evenly across the shards");
   BFP_REQUIRE(card_stats.size() == shards.size(),
               "forward_column_shards: need one ForwardStats per shard");
-  for (const std::span<const BlockWeights> blocks : shards) {
-    BFP_REQUIRE(blocks.size() == static_cast<std::size_t>(cfg.depth),
+  for (const ShardWeights& shard : shards) {
+    BFP_REQUIRE(shard.blocks.size() == static_cast<std::size_t>(cfg.depth),
                 "forward_column_shards: every shard needs depth blocks");
+    BFP_REQUIRE(shard.packed.empty() ||
+                    shard.packed.size() == shard.blocks.size(),
+                "forward_column_shards: packed weights must match blocks");
   }
   BFP_REQUIRE(x.size() == static_cast<std::size_t>(t) * d,
               "forward_column_shards: input must be tokens x embed_dim");
@@ -311,16 +374,24 @@ std::vector<float> forward_column_shards(
   // its output lands in columns [c*n/C, (c+1)*n/C) of the t x n result.
   // One card's output already is the full result.
   using Param = std::vector<float> BlockWeights::*;
+  using PackedParam = PackedBfpMatrix PackedBlock::*;
+  // Card c's packed operand of weight `w` in block `blk`, if it holds one.
+  auto packed_of = [&](std::size_t c, std::size_t blk, PackedParam w) {
+    const std::span<const PackedBlock> packed = shards[c].packed;
+    return packed.empty() ? nullptr : &(packed[blk].*w);
+  };
   auto linear = [&](std::size_t blk, const std::vector<float>& a, int k,
-                    int n, Param w, Param bias, bool bfp8, bool gelu) {
+                    int n, Param w, PackedParam pw, Param bias, bool bfp8,
+                    bool gelu) {
     const int nc = n / cards;
     const auto width = static_cast<std::size_t>(nc);
     std::vector<float> full(cards > 1 ? rows * static_cast<std::size_t>(n)
                                       : 0);
     for (std::size_t c = 0; c < shards.size(); ++c) {
-      const BlockWeights& b = shards[c][blk];
+      const BlockWeights& b = shards[c].blocks[blk];
       ForwardStats& s = card_stats[c];
-      auto y = gemm_mixed(system, a, t, k, b.*w, nc, s, bfp8);
+      auto y = gemm_mixed(system, a, t, k, b.*w, nc, s, bfp8,
+                          packed_of(c, blk, pw));
       add_bias_mixed(y, t, nc, b.*bias, s, system);
       if (gelu) {
         OpCounter ops;
@@ -340,7 +411,7 @@ std::vector<float> forward_column_shards(
   std::vector<float> ln(x.size());
   for (std::size_t blk = 0; blk < static_cast<std::size_t>(cfg.depth);
        ++blk) {
-    const BlockWeights& norms = shards[0][blk];  // replicated on every card
+    const BlockWeights& norms = shards[0].blocks[blk];  // on every card
 
     // ---- attention (LN -> QKV -> per-head SDPA -> proj -> residual) ----
     OpCounter ln1_ops;
@@ -348,12 +419,12 @@ std::vector<float> forward_column_shards(
     charge_all(ln1_ops);
     std::vector<float> attn_out(rows * static_cast<std::size_t>(d));
     for (std::size_t c = 0; c < shards.size(); ++c) {
-      const BlockWeights& b = shards[c][blk];
+      const BlockWeights& b = shards[c].blocks[blk];
       ForwardStats& s = card_stats[c];
       // The card's [Q_c | K_c | V_c] columns hold everything its heads
       // need: per-head attention stays card-local.
-      auto qkv = gemm_mixed(system, ln, t, d, b.qkv_w, 3 * dc, s,
-                            policy.qkv);
+      auto qkv = gemm_mixed(system, ln, t, d, b.qkv_w, 3 * dc, s, policy.qkv,
+                            packed_of(c, blk, &PackedBlock::qkv_w));
       add_bias_mixed(qkv, t, 3 * dc, b.qkv_b, s, system);
       attend_heads(
           qkv, t, dc, hd, attn_out, d, static_cast<int>(c) * heads_per_card,
@@ -375,16 +446,19 @@ std::vector<float> forward_column_shards(
           });
     }
     residual(linear(blk, attn_out, d, d, &BlockWeights::proj_w,
-                    &BlockWeights::proj_b, policy.proj, /*gelu=*/false));
+                    &PackedBlock::proj_w, &BlockWeights::proj_b, policy.proj,
+                    /*gelu=*/false));
 
     // ---- MLP (LN -> fc1 -> GELU -> fc2 -> residual) ----
     OpCounter ln2_ops;
     approx_layernorm(x, t, d, norms.ln2_gamma, norms.ln2_beta, ln, &ln2_ops);
     charge_all(ln2_ops);
-    const auto act = linear(blk, ln, d, m, &BlockWeights::fc1_w,
-                            &BlockWeights::fc1_b, policy.mlp, /*gelu=*/true);
+    const auto act =
+        linear(blk, ln, d, m, &BlockWeights::fc1_w, &PackedBlock::fc1_w,
+               &BlockWeights::fc1_b, policy.mlp, /*gelu=*/true);
     residual(linear(blk, act, m, d, &BlockWeights::fc2_w,
-                    &BlockWeights::fc2_b, policy.mlp, /*gelu=*/false));
+                    &PackedBlock::fc2_w, &BlockWeights::fc2_b, policy.mlp,
+                    /*gelu=*/false));
   }
   return x;
 }
@@ -392,14 +466,30 @@ std::vector<float> forward_column_shards(
 std::vector<float> VitModel::forward_mixed(
     std::vector<float> x, const AcceleratorSystem& system,
     ForwardStats* stats, const PrecisionPolicy& policy) const {
-  // One card: the model's own blocks are the single column shard.
-  const std::span<const BlockWeights> blocks(w_.blocks);
+  // One card: the model's own blocks are the single column shard, with
+  // their packed weights when the system's GEMMs take them.
+  ShardWeights shard{w_.blocks, {}};
+  const std::optional<QuantSpec> spec = system.packed_spec();
+  if (spec.has_value() && policy.bfp8_weights()) {
+    shard.packed = packed_blocks(*spec);
+  }
   ForwardStats unused;
   return forward_column_shards(
-      w_.cfg, std::span<const std::span<const BlockWeights>>(&blocks, 1),
-      std::move(x), system,
+      w_.cfg, std::span<const ShardWeights>(&shard, 1), std::move(x), system,
       std::span<ForwardStats>(stats != nullptr ? stats : &unused, 1),
       policy);
+}
+
+std::span<const PackedBlock> VitModel::packed_blocks(
+    const QuantSpec& spec) const {
+  return packed_.get(w_.cfg, w_.blocks, spec);
+}
+
+void VitModel::adopt_packed(const QuantSpec& spec,
+                            std::vector<PackedBlock> packed) {
+  BFP_REQUIRE(packed.size() == w_.blocks.size(),
+              "VitModel::adopt_packed: one pack per block");
+  packed_.adopt(spec, std::move(packed));
 }
 
 std::vector<float> VitModel::forward_int8(std::vector<float> x) const {

@@ -15,6 +15,8 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -34,6 +36,58 @@ struct BlockWeights {
   std::vector<float> ln2_gamma, ln2_beta;
   std::vector<float> fc1_w, fc1_b;      // d x m, m
   std::vector<float> fc2_w, fc2_b;      // m x d, d
+};
+
+/// One encoder block's static GEMM weights (qkv, proj, fc1, fc2),
+/// quantized once and packed in the bfp8 kernel's B-operand layout.
+struct PackedBlock {
+  PackedBfpMatrix qkv_w, proj_w, fc1_w, fc2_w;
+
+  std::size_t bytes() const {
+    return qkv_w.bytes() + proj_w.bytes() + fc1_w.bytes() + fc2_w.bytes();
+  }
+};
+
+/// Pack `b`'s four weight matrices under `spec`. `b` may be a whole block
+/// or one tensor-parallel column shard of it: the matrices have d, d, d
+/// and mlp_hidden rows, and their column counts follow from their sizes.
+PackedBlock pack_block(const VitConfig& cfg, const BlockWeights& b,
+                       const QuantSpec& spec);
+
+/// The packed weights of one owner's encoder blocks, built on first use
+/// for each quantization spec and freed with the owner. Safe to use from
+/// several threads at once: the first caller for a spec packs, the others
+/// wait for it. Packing is a pure function of the weights, so a copy
+/// starts empty and packs its own on first use.
+class PackedWeightCache {
+ public:
+  PackedWeightCache() = default;
+  PackedWeightCache(const PackedWeightCache&) {}
+  PackedWeightCache& operator=(const PackedWeightCache& other);
+  PackedWeightCache(PackedWeightCache&& other) noexcept;
+  PackedWeightCache& operator=(PackedWeightCache&& other) noexcept;
+
+  /// `blocks` packed under `spec`; the span stays valid while the cache
+  /// lives.
+  std::span<const PackedBlock> get(const VitConfig& cfg,
+                                   std::span<const BlockWeights> blocks,
+                                   const QuantSpec& spec) const;
+
+  /// Install packs built elsewhere (Session::deploy quantizes each weight
+  /// once for its device image and for this). Ignored when `spec` is
+  /// already held.
+  void adopt(const QuantSpec& spec, std::vector<PackedBlock> packed);
+
+  /// Host bytes held by every pack.
+  std::size_t bytes() const;
+
+ private:
+  struct Entry {
+    QuantSpec spec;
+    std::vector<PackedBlock> blocks;
+  };
+  mutable std::mutex mu_;
+  mutable std::list<Entry> entries_;  ///< stable addresses for get()
 };
 
 struct VitWeights {
@@ -98,6 +152,9 @@ struct PrecisionPolicy {
 
   static PrecisionPolicy all_bfp8() { return {}; }
   static PrecisionPolicy all_fp32() { return {false, false, false, false}; }
+
+  /// Does any static-weight GEMM run in bfp8?
+  bool bfp8_weights() const { return qkv || proj || mlp; }
 };
 
 /// What the mixed-precision forward consumed.
@@ -143,26 +200,47 @@ class VitModel {
   /// numerics; the head is shared by both modes in the experiments).
   std::vector<float> classify(const std::vector<float>& features) const;
 
+  /// The encoder blocks' static weights packed under `spec`, built on the
+  /// first call (see PackedWeightCache). forward_mixed asks for them only
+  /// when its system takes packed operands; a model that only ever runs
+  /// forward_reference or forward_int8 never packs.
+  std::span<const PackedBlock> packed_blocks(const QuantSpec& spec) const;
+
+  /// Install packs built from the same weights elsewhere.
+  void adopt_packed(const QuantSpec& spec, std::vector<PackedBlock> packed);
+
+  /// Host bytes the packed weights occupy (0 until the first bfp8 forward).
+  std::size_t packed_bytes() const { return packed_.bytes(); }
+
  private:
   VitWeights w_;
+  PackedWeightCache packed_;
+};
+
+/// One card's column shard of the encoder blocks: its fp32 parameters
+/// and, when the system takes packed operands (packed_spec()), the same
+/// blocks' packed weights under that spec. An empty `packed` quantizes
+/// each weight per call — the same bits.
+struct ShardWeights {
+  std::span<const BlockWeights> blocks;
+  std::span<const PackedBlock> packed;
 };
 
 /// The encoder blocks of `cfg` as one walk over C column shards of their
 /// weights — the mixed-precision forward for one card (C = 1) and for a
-/// tensor-parallel cluster (C > 1) alike. shards[c][blk] is card c's slice
-/// of block blk: every matrix and bias holds the card's column slice
-/// (qkv as [Q_c | K_c | V_c]) and the LayerNorm parameters are replicated.
-/// Each GEMM with its bias, and the GELU, runs once per shard and lands in
-/// the shard's columns of the full-width activation; card c owns heads
-/// [c*h/C, (c+1)*h/C), whose attention stays card-local. LayerNorm and the
-/// residual adds run once on the full-width activation, and their cost is
-/// charged to every card: each card's `card_stats[c]` accumulates what
-/// that card executes.
+/// tensor-parallel cluster (C > 1) alike. shards[c].blocks[blk] is card
+/// c's slice of block blk: every matrix and bias holds the card's column
+/// slice (qkv as [Q_c | K_c | V_c]) and the LayerNorm parameters are
+/// replicated. Each GEMM with its bias, and the GELU, runs once per shard
+/// and lands in the shard's columns of the full-width activation; card c
+/// owns heads [c*h/C, (c+1)*h/C), whose attention stays card-local.
+/// LayerNorm and the residual adds run once on the full-width activation,
+/// and their cost is charged to every card: each card's `card_stats[c]`
+/// accumulates what that card executes.
 /// Column splits on bfp block boundaries keep every quantization block and
 /// k-reduction order, so the result is bit-identical for any C.
 std::vector<float> forward_column_shards(
-    const VitConfig& cfg,
-    std::span<const std::span<const BlockWeights>> shards,
+    const VitConfig& cfg, std::span<const ShardWeights> shards,
     std::vector<float> x, const AcceleratorSystem& system,
     std::span<ForwardStats> card_stats,
     const PrecisionPolicy& policy = PrecisionPolicy::all_bfp8());

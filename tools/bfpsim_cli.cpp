@@ -1090,31 +1090,26 @@ int cmd_fleet(int argc, char** argv) {
   if (threads <= 0) threads = ThreadPool::hardware_threads();
   ThreadPool pool(threads);
 
-  ModelId model = -1;
-  {
-    // One weight set feeds the deploy and the auto-rate probes, and is
-    // released before serving (the session keeps its own copy).
-    const VitWeights weights = random_weights(cfg, 42);
-    model = session.deploy(weights, cfg.name);
-    if (rate <= 0.0) {
-      // Auto rate: probe one sharded forward per class and offer 70% of
-      // the initial fleet's aggregate capacity.
-      double capacity_rps = 0.0;
-      for (const auto& c : fleet_cfg.classes) {
-        if (c.initial_replicas == 0) continue;
-        const ClusterTopology topo = ClusterTopology::ring(
-            c.cards, LinkConfig{}, session.system().config());
-        const ClusterExecutor exec(weights, topo, c.strategy);
-        ClusterStats stats;
-        (void)exec.forward(random_embeddings(cfg, seed), &stats, &pool);
-        capacity_rps += static_cast<double>(c.initial_replicas) * freq /
-                        static_cast<double>(stats.total_cycles());
-      }
-      if (capacity_rps <= 0.0) {
-        throw Error("--rate required (no probe basis)");
-      }
-      rate = 0.7 * capacity_rps;
+  // The session keeps its own copy of the weights; the probes borrow it.
+  const ModelId model = session.deploy(random_weights(cfg, 42), cfg.name);
+  if (rate <= 0.0) {
+    // Auto rate: probe one sharded forward per class and offer 70% of the
+    // initial fleet's aggregate capacity.
+    double capacity_rps = 0.0;
+    for (const auto& c : fleet_cfg.classes) {
+      if (c.initial_replicas == 0) continue;
+      const ClusterTopology topo = ClusterTopology::ring(
+          c.cards, LinkConfig{}, session.system().config());
+      const ClusterExecutor exec(session.model(model), topo, c.strategy);
+      ClusterStats stats;
+      (void)exec.forward(random_embeddings(cfg, seed), &stats, &pool);
+      capacity_rps += static_cast<double>(c.initial_replicas) * freq /
+                      static_cast<double>(stats.total_cycles());
     }
+    if (capacity_rps <= 0.0) {
+      throw Error("--rate required (no probe basis)");
+    }
+    rate = 0.7 * capacity_rps;
   }
 
   ArrivalTrace arrival_trace;
