@@ -61,15 +61,18 @@ using TileFn = void (*)(const std::int16_t* x, const T* yp, int rows, int kk,
 template <typename T>
 void tile_product_scalar(const std::int16_t* x, const T* yp, int rows,
                          int kk, int cols, std::int64_t* out) {
-  for (int i = 0; i < rows; ++i) {
-    for (int j = 0; j < cols; ++j) {
+  const auto width = static_cast<std::size_t>(cols);
+  const auto depth = static_cast<std::size_t>(kk);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(rows); ++i) {
+    const std::int16_t* xr = x + i * depth;
+    for (std::size_t j = 0; j < width; ++j) {
       std::int64_t s = 0;
-      for (int k = 0; k < kk; ++k) {
-        s += static_cast<std::int64_t>(
-                 x[static_cast<std::size_t>(i * kk + k)]) *
-             yp[static_cast<std::size_t>((k / 2) * 2 * cols + 2 * j + k % 2)];
+      for (std::size_t k = 0; k < depth; ++k) {
+        // Pair row k/2 starts at lane (k & ~1) * width.
+        s += static_cast<std::int64_t>(xr[k]) *
+             yp[(k & ~std::size_t{1}) * width + 2 * j + (k & 1)];
       }
-      out[static_cast<std::size_t>(i * cols + j)] = s;
+      out[i * width + j] = s;
     }
   }
 }
@@ -87,10 +90,11 @@ void tile_product_blocked(const std::int16_t* x, const T* yp, int rows,
   for (int i = 0; i < rows; ++i) {
     const std::int16_t* xr = x + static_cast<std::size_t>(i * kk);
     std::fill_n(acc, width, Acc{0});
-    for (int p = 0; p < (kk + 1) / 2; ++p) {
-      const Acc x0 = xr[2 * p];
-      const Acc x1 = 2 * p + 1 < kk ? Acc{xr[2 * p + 1]} : Acc{0};
-      const T* row = yp + static_cast<std::size_t>(p) * 2 * width;
+    for (std::size_t k = 0; k < static_cast<std::size_t>(kk); k += 2) {
+      const Acc x0 = xr[k];
+      const Acc x1 = k + 1 < static_cast<std::size_t>(kk) ? Acc{xr[k + 1]}
+                                                          : Acc{0};
+      const T* row = yp + k * width;
       for (std::size_t j = 0; j < width; ++j) {
         acc[j] += x0 * row[2 * j] + x1 * row[2 * j + 1];
       }
@@ -120,32 +124,29 @@ template <typename T>
 void tile_product_sse2(const std::int16_t* x, const T* yp, int rows, int kk,
                        int cols, std::int64_t* out) {
   const auto width = static_cast<std::size_t>(cols);
-  const int c4 = cols & ~3;
+  const std::size_t c4 = width & ~std::size_t{3};
   for (int i = 0; i < rows; ++i) {
     const std::int16_t* xr = x + static_cast<std::size_t>(i * kk);
     std::int64_t* orow = out + static_cast<std::size_t>(i) * width;
-    for (int j = 0; j < c4; j += 4) {
+    for (std::size_t j = 0; j < c4; j += 4) {
       __m128i acc = _mm_setzero_si128();
-      for (int p = 0; p < kk / 2; ++p) {
+      for (std::size_t k = 0; k < static_cast<std::size_t>(kk); k += 2) {
         const __m128i xp = _mm_set1_epi32(static_cast<std::int32_t>(
-            static_cast<std::uint16_t>(xr[2 * p]) |
-            (static_cast<std::uint32_t>(static_cast<std::uint16_t>(
-                 xr[2 * p + 1]))
+            static_cast<std::uint16_t>(xr[k]) |
+            (static_cast<std::uint32_t>(static_cast<std::uint16_t>(xr[k + 1]))
              << 16)));
-        const __m128i yv = load8_epi16(
-            yp + static_cast<std::size_t>(p) * 2 * width +
-            static_cast<std::size_t>(2 * j));
+        const __m128i yv = load8_epi16(yp + k * width + 2 * j);
         acc = _mm_add_epi32(acc, _mm_madd_epi16(xp, yv));
       }
       alignas(16) std::int32_t lanes[4];
       _mm_store_si128(reinterpret_cast<__m128i*>(lanes), acc);
-      for (int l = 0; l < 4; ++l) orow[j + l] = lanes[l];
+      for (std::size_t l = 0; l < 4; ++l) orow[j + l] = lanes[l];
     }
-    for (int j = c4; j < cols; ++j) {
+    for (std::size_t j = c4; j < width; ++j) {
       std::int32_t s = 0;
-      for (int p = 0; p < kk / 2; ++p) {
-        const T* pr = yp + static_cast<std::size_t>(p) * 2 * width;
-        s += xr[2 * p] * pr[2 * j] + xr[2 * p + 1] * pr[2 * j + 1];
+      for (std::size_t k = 0; k < static_cast<std::size_t>(kk); k += 2) {
+        const T* pr = yp + k * width;
+        s += xr[k] * pr[2 * j] + xr[k + 1] * pr[2 * j + 1];
       }
       orow[j] = s;
     }

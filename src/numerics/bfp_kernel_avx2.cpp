@@ -106,14 +106,12 @@ void tile_product_avx2(const std::int16_t* x, const T* yp, int rows, int kk,
     const std::int16_t* xr = x + static_cast<std::size_t>(i * kk);
     for (std::size_t j = 0; j < width; j += 8) {
       __m256i acc = _mm256_setzero_si256();
-      for (int p = 0; p < kk / 2; ++p) {
-        std::int32_t pair = 0;
-        std::memcpy(&pair, xr + 2 * p, sizeof pair);
+      for (std::size_t k = 0; k < static_cast<std::size_t>(kk); k += 2) {
+        std::int32_t pair = 0;  // x[k] low, x[k + 1] high
+        std::memcpy(&pair, xr + k, sizeof pair);
         acc = _mm256_add_epi32(
-            acc, _mm256_madd_epi16(
-                     _mm256_set1_epi32(pair),
-                     load16_epi16(yp + static_cast<std::size_t>(p) * 2 * width +
-                                  2 * j)));
+            acc, _mm256_madd_epi16(_mm256_set1_epi32(pair),
+                                   load16_epi16(yp + k * width + 2 * j)));
       }
       store_epi64x8(out + static_cast<std::size_t>(i) * width + j, acc);
     }

@@ -57,11 +57,10 @@ ModelId Session::deploy(const VitWeights& weights, const std::string& name) {
     dep.info.fp32_param_bytes += bytes;
   };
 
-  std::vector<PackedBlock> packed(share_quantize ? weights.blocks.size() : 0);
+  std::vector<PackedBlock> packed(weights.blocks.size());
   for (std::size_t i = 0; i < weights.blocks.size(); ++i) {
     const BlockWeights& b = weights.blocks[i];
-    PackedBlock unused;
-    PackedBlock& p = share_quantize ? packed[i] : unused;
+    PackedBlock& p = packed[i];
     upload_weight(b.qkv_w, d, 3 * d, p.qkv_w);
     upload_weight(b.proj_w, d, d, p.proj_w);
     upload_weight(b.fc1_w, d, m, p.fc1_w);
